@@ -213,6 +213,8 @@ def cmd_tomo(args) -> int:
         write_pgm(out / f"bell_{name}.pgm", m)
     print(f"average concurrence {tomo.average_concurrence:.4f} "
           f"+/- {tomo.concurrence_se:.4f} over {tomo.bins_used} bins")
+    if tomo.mle:
+        print(f"MLE did not converge in {tomo.mle_nonconverged} of {tomo.bins_used} bins")
     print(f"wrote tomography outputs to {out}")
     return 0
 

@@ -10,7 +10,7 @@ idler), processing signals in time order.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -34,8 +34,9 @@ class CoincidenceConfig:
 class PolarBinning:
     """Polar histogram geometry about per-ROI centroids.
 
-    Centroids may be left unset and filled later from the measured
-    intensity distribution (:func:`centroids_from_events`).
+    Centroids may be left unset at construction but must be set before
+    binning, to one pair shared by all settings of a run
+    (:func:`pooled_centroids`).
     """
 
     n_r: int = 5
@@ -154,9 +155,16 @@ class MatchResult:
 # ---------------------------------------------------------------------------
 # Matching
 
-def _require_sorted(t: np.ndarray):
-    if len(t) > 1 and np.any(np.diff(t.astype(np.int64)) < 0):
+def _split_rois(events: np.ndarray, geometry):
+    """Event times as int64 plus the signal-ROI and idler-ROI masks.
+
+    Rejects a stream that is not sorted by time.
+    """
+    t = events["t"].astype(np.int64)
+    if len(t) > 1 and np.any(np.diff(t) < 0):
         raise FormatError("event stream is not sorted by time")
+    x, y = events["x"], events["y"]
+    return t, geometry.roi_signal.contains(x, y), geometry.roi_idler.contains(x, y)
 
 
 def _match_multi(ts: np.ndarray, ti: np.ndarray, window: float):
@@ -195,75 +203,25 @@ def _match_greedy(ts: np.ndarray, ti: np.ndarray, window: float):
     return np.asarray(out_s, dtype=np.int64), np.asarray(out_i, dtype=np.int64)
 
 
-def find_coincidences(events: np.ndarray, geometry, config: CoincidenceConfig,
-                      chunk_size: int | None = None) -> MatchResult:
+def find_coincidences(events: np.ndarray, geometry, config: CoincidenceConfig) -> MatchResult:
     """Pair up signal-ROI and idler-ROI detections within the time window.
 
     The stream must be sorted by time (rejected otherwise).  Events outside
-    both ROIs are counted and skipped.  With ``chunk_size`` the stream is cut
-    into independently processed chunks at quiet gaps (no events within twice
-    the window), which cannot change the result; it exists so large streams
-    can be processed piecewise.
+    both ROIs are counted and skipped.
     """
-    t_all = events["t"].astype(np.int64)
-    _require_sorted(t_all)
-
-    in_s = geometry.roi_signal.contains(events["x"], events["y"])
-    in_i = geometry.roi_idler.contains(events["x"], events["y"])
-    skipped = int(len(events) - in_s.sum() - in_i.sum())
-
+    t, in_s, in_i = _split_rois(events, geometry)
+    match = _match_multi if config.allow_multi_match else _match_greedy
+    sidx, iidx = match(t[in_s], t[in_i], config.window)
     sig = events[in_s]
     idl = events[in_i]
-    ts = sig["t"].astype(np.int64)
-    ti = idl["t"].astype(np.int64)
-
-    segments = [(ts, ti, 0, 0)]
-    if chunk_size is not None and chunk_size > 0 and len(t_all):
-        segments = _split_quiet(ts, ti, config.window, chunk_size)
-
-    parts_s, parts_i = [], []
-    for seg_ts, seg_ti, off_s, off_i in segments:
-        if config.allow_multi_match:
-            a, b = _match_multi(seg_ts, seg_ti, config.window)
-        else:
-            a, b = _match_greedy(seg_ts, seg_ti, config.window)
-        parts_s.append(a + off_s)
-        parts_i.append(b + off_i)
-    sidx = np.concatenate(parts_s) if parts_s else np.empty(0, dtype=np.int64)
-    iidx = np.concatenate(parts_i) if parts_i else np.empty(0, dtype=np.int64)
-
     return MatchResult(
         signal=sig[sidx],
         idler=idl[iidx],
         n_signal_events=len(sig),
         n_idler_events=len(idl),
-        skipped_outside_roi=skipped,
+        skipped_outside_roi=int(len(events) - in_s.sum() - in_i.sum()),
         total_events=len(events),
     )
-
-
-def _split_quiet(ts, ti, window, chunk_size):
-    """Cut both sub-streams at gaps where no event lies within 2*window,
-    so greedy matching in each piece is independent of the others."""
-    merged = np.sort(np.concatenate([ts, ti]))
-    if len(merged) == 0:
-        return [(ts, ti, 0, 0)]
-    gap_after = np.nonzero(np.diff(merged) > 2 * window)[0]
-    cut_times = merged[gap_after]  # safe boundaries: split after these times
-    segments = []
-    last_s = last_i = 0
-    taken = 0
-    for ct in cut_times:
-        taken_now = np.searchsorted(merged, ct, side="right")
-        if taken_now - taken < chunk_size:
-            continue
-        taken = taken_now
-        cs = int(np.searchsorted(ts, ct, side="right"))
-        ci = int(np.searchsorted(ti, ct, side="right"))
-        segments.append((ts[last_s:cs], ti[last_i:ci], last_s, last_i))
-        last_s, last_i = cs, ci
-    segments.append((ts[last_s:], ti[last_i:], last_s, last_i))
-    return segments
 
 
 def accidental_estimate(events: np.ndarray, geometry, config: CoincidenceConfig,
@@ -275,33 +233,14 @@ def accidental_estimate(events: np.ndarray, geometry, config: CoincidenceConfig,
     """
     if not offset >= 10 * config.window:
         raise ValueError("offset must be well outside the coincidence window")
-    t_all = events["t"].astype(np.int64)
-    _require_sorted(t_all)
-    in_s = geometry.roi_signal.contains(events["x"], events["y"])
-    in_i = geometry.roi_idler.contains(events["x"], events["y"])
-    ts = t_all[in_s]
-    ti = t_all[in_i] + int(round(offset))
-    if config.allow_multi_match:
-        a, _ = _match_multi(ts, ti, config.window)
-    else:
-        a, _ = _match_greedy(ts, ti, config.window)
+    t, in_s, in_i = _split_rois(events, geometry)
+    match = _match_multi if config.allow_multi_match else _match_greedy
+    a, _ = match(t[in_s], t[in_i] + int(round(offset)), config.window)
     return len(a)
 
 
 # ---------------------------------------------------------------------------
 # Polar binning
-
-def centroids_from_events(events: np.ndarray, geometry):
-    """Intensity centroid of each ROI computed from all detections in it."""
-    out = []
-    for roi in (geometry.roi_signal, geometry.roi_idler):
-        m = roi.contains(events["x"], events["y"])
-        if not m.any():
-            out.append(roi.center())
-        else:
-            out.append((float(events["x"][m].mean()), float(events["y"][m].mean())))
-    return tuple(out)
-
 
 def pooled_centroids(event_arrays, geometry):
     """Shared ROI centroids from the detections of an entire run.
@@ -328,18 +267,6 @@ def pooled_centroids(event_arrays, geometry):
     return tuple(out)
 
 
-def resolve_centroids(binning: PolarBinning, events: np.ndarray, geometry) -> PolarBinning:
-    """Fill unset centroids from the event intensity distribution."""
-    if binning.centroid_s is not None and binning.centroid_i is not None:
-        return binning
-    cs, ci = centroids_from_events(events, geometry)
-    return replace(
-        binning,
-        centroid_s=binning.centroid_s or cs,
-        centroid_i=binning.centroid_i or ci,
-    )
-
-
 def _polar_bins(x, y, centroid, binning: PolarBinning):
     dx = x.astype(float) - centroid[0]
     dy = y.astype(float) - centroid[1]
@@ -359,7 +286,8 @@ def bin_polar(result: MatchResult, binning: PolarBinning, setting: str = "") -> 
     Pairs with either photon beyond r_max are dropped and counted.
     """
     if binning.centroid_s is None or binning.centroid_i is None:
-        raise ConfigurationError("binning centroids are unset; call resolve_centroids")
+        raise ConfigurationError(
+            "binning centroids are unset; set them from pooled_centroids over the run")
     r_s, rb_s, tb_s = _polar_bins(result.signal["x"], result.signal["y"],
                                   binning.centroid_s, binning)
     r_i, rb_i, tb_i = _polar_bins(result.idler["x"], result.idler["y"],

@@ -17,14 +17,16 @@ from __future__ import annotations
 
 import json
 import math
+import os
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import FormatError, SamplingError
-from .qplate_state import JONES, ModeSuperposition, QPlateParams, evb_state
+from .qplate_state import _SECTOR_INDEX, ModeSuperposition, QPlateParams, evb_state
 from .polarimetry import (
     MeasurementSetting,
+    _projected_coefficients,
     pass_probability,
     setting_from_label,
     standard_set,
@@ -389,11 +391,7 @@ class PairPositionSampler:
 
 def projected_sampler(state: ModeSuperposition, setting: MeasurementSetting) -> PairPositionSampler:
     """Sampler for the conditional position density given both analyzers pass."""
-    coeffs = []
-    for t in state.terms:
-        a_s = np.vdot(setting.proj_s, JONES[t.pol_s])
-        a_i = np.vdot(setting.proj_i, JONES[t.pol_i])
-        coeffs.append(t.amp * a_s * a_i)
+    coeffs = _projected_coefficients(state, setting)
     ells_s = [t.ell_s for t in state.terms]
     ells_i = [t.ell_i for t in state.terms]
     return PairPositionSampler(coeffs, ells_s, ells_i, [0] * len(coeffs),
@@ -402,9 +400,8 @@ def projected_sampler(state: ModeSuperposition, setting: MeasurementSetting) -> 
 
 def intensity_sampler(state: ModeSuperposition) -> PairPositionSampler:
     """Sampler for the unconditioned two-photon intensity profile."""
-    sector = {("L", "L"): 0, ("L", "R"): 1, ("R", "L"): 2, ("R", "R"): 3}
     coeffs = [t.amp for t in state.terms]
-    groups = [sector[(t.pol_s, t.pol_i)] for t in state.terms]
+    groups = [_SECTOR_INDEX[(t.pol_s, t.pol_i)] for t in state.terms]
     return PairPositionSampler(coeffs, [t.ell_s for t in state.terms],
                                [t.ell_i for t in state.terms], groups,
                                state.waist_s, state.waist_i)
@@ -517,17 +514,28 @@ def generate_setting_events(state, setting: MeasurementSetting,
     return events, stats
 
 
-def generate_run(manifest: RunManifest, out_dir, max_workers: int | None = None) -> list[dict]:
+def _worker_count() -> int:
+    """Event-synthesis workers: the core count, capped by EVBLAB_THREADS."""
+    n = os.cpu_count() or 1
+    cap = os.environ.get("EVBLAB_THREADS")
+    if cap is not None:
+        try:
+            n = min(n, max(1, int(cap)))
+        except ValueError:
+            pass
+    return n
+
+
+def generate_run(manifest: RunManifest, out_dir) -> list[dict]:
     """Write one event file per setting plus ``manifest.json``.
 
-    Deterministic for a given manifest seed: each setting gets an
-    independent child RNG, so outputs do not depend on scheduling order or
-    worker count.  Returns per-setting statistics.
+    Settings run on as many threads as there are cores, capped by
+    EVBLAB_THREADS.  Deterministic for a given manifest seed: each setting
+    gets an independent child RNG, so outputs do not depend on scheduling
+    order or worker count.  Returns per-setting statistics.
     """
     from concurrent.futures import ThreadPoolExecutor
     from pathlib import Path
-
-    from ._threads import worker_count
 
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -544,7 +552,7 @@ def generate_run(manifest: RunManifest, out_dir, max_workers: int | None = None)
         write_events(out_dir / manifest.settings[label], events)
         return stats
 
-    workers = worker_count(max_workers)
+    workers = _worker_count()
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
             stats = list(pool.map(job, range(len(labels))))

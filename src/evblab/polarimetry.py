@@ -13,7 +13,7 @@ serving as ground truth for the Monte-Carlo event pipeline.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -23,6 +23,15 @@ from .qplate_state import JONES, ModeSuperposition, local_spinor_linear
 
 SIGNAL_ANALYZERS = ("H", "V", "A", "R")
 IDLER_ANALYZERS = ("H", "V", "A", "L")
+
+PAULIS = (
+    np.eye(2, dtype=complex),
+    np.array([[0, 1], [1, 0]], dtype=complex),
+    np.array([[0, -1j], [1j, 0]]),
+    np.array([[1, 0], [0, -1]], dtype=complex),
+)
+# (16, 4, 4) two-qubit product-Pauli basis, signal factor major
+PAULI_PRODUCTS = np.array([np.kron(a, b) for a in PAULIS for b in PAULIS])
 
 
 @dataclass(frozen=True)
@@ -43,13 +52,25 @@ class MeasurementSetting:
 
 @dataclass(frozen=True)
 class TomographySet:
-    """An ordered, tomographically complete list of 16 settings."""
+    """An ordered, tomographically complete list of 16 settings.
+
+    The projector kets and the design matrix are computed once, at
+    construction, and returned read-only.
+    """
 
     settings: tuple[MeasurementSetting, ...]
+    _kets: np.ndarray = field(init=False, repr=False, compare=False)
+    _design: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if len(self.settings) != 16:
             raise ValueError(f"need 16 settings, got {len(self.settings)}")
+        kets = np.array([np.kron(s.proj_s, s.proj_i) for s in self.settings])
+        design = np.einsum("ki,gij,kj->kg", kets.conj(), PAULI_PRODUCTS, kets).real
+        kets.flags.writeable = False
+        design.flags.writeable = False
+        object.__setattr__(self, "_kets", kets)
+        object.__setattr__(self, "_design", design)
         cond = self.design_condition_number()
         if not np.isfinite(cond) or cond > 1e9:
             raise ValueError("settings are not tomographically complete")
@@ -60,26 +81,15 @@ class TomographySet:
 
     def projector_vectors(self) -> np.ndarray:
         """(16, 4) array of the product projector kets in the HV basis."""
-        return np.array([np.kron(s.proj_s, s.proj_i) for s in self.settings])
+        return self._kets
 
     def design_matrix(self) -> np.ndarray:
         """Real (16, 16) matrix mapping product-Pauli coordinates of rho to
         the 16 projection probabilities."""
-        paulis = [
-            np.eye(2),
-            np.array([[0, 1], [1, 0]], dtype=complex),
-            np.array([[0, -1j], [1j, 0]]),
-            np.array([[1, 0], [0, -1]], dtype=complex),
-        ]
-        basis = [np.kron(a, b) for a in paulis for b in paulis]
-        vecs = self.projector_vectors()
-        rows = []
-        for v in vecs:
-            rows.append([np.real(np.vdot(v, g @ v)) for g in basis])
-        return np.asarray(rows)
+        return self._design
 
     def design_condition_number(self) -> float:
-        return float(np.linalg.cond(self.design_matrix()))
+        return float(np.linalg.cond(self._design))
 
 
 def setting_from_label(label: str) -> MeasurementSetting:

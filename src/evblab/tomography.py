@@ -19,30 +19,45 @@ from .errors import (
     ConvergenceError,
     InsufficientDataError,
 )
-from .polarimetry import TomographySet
+from .polarimetry import PAULI_PRODUCTS, PAULIS, TomographySet
 from .qplate_state import BELL_LABELS, BELL_STATES, BellProbabilities
 
-PAULIS = [
-    np.eye(2, dtype=complex),
-    np.array([[0, 1], [1, 0]], dtype=complex),
-    np.array([[0, -1j], [1j, 0]]),
-    np.array([[1, 0], [0, -1]], dtype=complex),
-]
-PAULI_PRODUCTS = [np.kron(a, b) for a in PAULIS for b in PAULIS]
 _YY = np.kron(PAULIS[2], PAULIS[2]).real
+_BELL_KETS = np.array([BELL_STATES[name] for name in BELL_LABELS])
 
 FLUX_LABELS = ("HH", "HV", "VH", "VV")
 
 
+def _dagger(m: np.ndarray) -> np.ndarray:
+    return m.conj().swapaxes(-1, -2)
+
+
+def _float_or_array(x: np.ndarray):
+    """A Python float for one matrix, the per-matrix array for a stack."""
+    return float(x) if np.ndim(x) == 0 else x
+
+
+def _matrices(m, what: str) -> np.ndarray:
+    """``m`` as complex, checked to be one 4x4 matrix or an (n, 4, 4) stack."""
+    m = np.asarray(m, dtype=complex)
+    if m.ndim not in (2, 3) or m.shape[-2:] != (4, 4):
+        raise ValueError(f"{what} must be 4x4 or a stack of 4x4 matrices")
+    return m
+
+
+def _max_abs(x: np.ndarray) -> float:
+    return float(np.max(np.abs(x), initial=0.0))
+
+
 def assert_physical(rho: np.ndarray, tol: float = 1e-8) -> np.ndarray:
-    rho = np.asarray(rho, dtype=complex)
-    if rho.shape != (4, 4):
-        raise ValueError("density matrix must be 4x4")
-    if np.max(np.abs(rho - rho.conj().T)) > tol:
+    """Check that ``rho`` (one 4x4 matrix or an (n, 4, 4) stack) is Hermitian,
+    unit-trace and positive semidefinite; returns it as a complex array."""
+    rho = _matrices(rho, "density matrix")
+    if _max_abs(rho - _dagger(rho)) > tol:
         raise ValueError("density matrix is not Hermitian")
-    if abs(np.trace(rho).real - 1.0) > max(tol, 1e-8):
+    if _max_abs(np.trace(rho, axis1=-2, axis2=-1).real - 1.0) > max(tol, 1e-8):
         raise ValueError("density matrix trace differs from 1")
-    if np.linalg.eigvalsh(rho).min() < -max(tol, 1e-8):
+    if np.any(np.linalg.eigvalsh(rho) < -max(tol, 1e-8)):
         raise ValueError("density matrix has negative eigenvalues")
     return rho
 
@@ -56,61 +71,66 @@ def forward_probabilities(rho: np.ndarray, tset: TomographySet) -> np.ndarray:
 def linear_inversion(counts, tset: TomographySet) -> np.ndarray:
     """Solve the 16x16 linear system for rho from raw setting counts.
 
+    ``counts`` holds the 16 setting counts of one bin, or an (n, 16) stack
+    of bins, which gives an (n, 4, 4) stack of matrices from one solve.
     Counts are normalized by the summed flux of the complete {H,V} x {H,V}
     subset, which fixes the trace to one; the result is Hermitian but may
     have negative eigenvalues when counts are noisy.
     """
     counts = np.asarray(counts, dtype=float)
-    if counts.shape != (16,):
-        raise ValueError("expected 16 counts")
+    if counts.ndim not in (1, 2) or counts.shape[-1] != 16:
+        raise ValueError("expected 16 counts per bin")
     if np.any(counts < 0) or not np.all(np.isfinite(counts)):
         raise ValueError("counts must be finite and nonnegative")
-    if counts.sum() == 0:
+    if np.any(counts.sum(axis=-1) == 0):
         raise InsufficientDataError("all-zero counts")
     labels = tset.labels
     try:
-        flux = sum(counts[labels.index(l)] for l in FLUX_LABELS)
+        flux_idx = [labels.index(l) for l in FLUX_LABELS]
     except ValueError as exc:
         raise ConfigurationError(
             "flux normalization needs the complete H/V subset in the tomography set"
         ) from exc
-    if flux <= 0:
+    flux = counts[..., flux_idx].sum(axis=-1)
+    if np.any(flux <= 0):
         raise InsufficientDataError("complete-basis flux is zero")
-    probs = counts / flux
-    design = tset.design_matrix()
+    probs = counts / flux[..., None]
     try:
-        coords = np.linalg.solve(design, probs)
+        coords = np.linalg.solve(tset.design_matrix(), probs.T).T
     except np.linalg.LinAlgError as exc:
         raise ConfigurationError("singular tomography design matrix") from exc
-    rho = sum(c * g for c, g in zip(coords, PAULI_PRODUCTS))
-    return 0.5 * (rho + rho.conj().T)
+    rho = np.einsum("...k,kij->...ij", coords, PAULI_PRODUCTS)
+    return 0.5 * (rho + _dagger(rho))
 
 
 def project_physical(m: np.ndarray) -> np.ndarray:
     """Closest (Frobenius) positive semidefinite unit-trace matrix.
 
     Standard water-filling on the sorted eigenvalues: truncate negatives
-    and redistribute their mass uniformly over the remaining ones.
+    and redistribute their mass uniformly over the remaining ones.  Takes
+    one 4x4 matrix or an (n, 4, 4) stack and projects each matrix.
     """
-    m = np.asarray(m, dtype=complex)
-    if m.shape != (4, 4) or np.max(np.abs(m - m.conj().T)) > 1e-8:
-        raise ValueError("input must be a Hermitian 4x4 matrix")
-    tr = np.trace(m).real
-    if not tr > 0:
+    m = _matrices(m, "input")
+    if _max_abs(m - _dagger(m)) > 1e-8:
+        raise ValueError("input must be Hermitian")
+    tr = np.trace(m, axis1=-2, axis2=-1).real
+    if not np.all(tr > 0):
         raise ValueError("input trace must be positive")
-    vals, vecs = np.linalg.eigh(m / tr)  # ascending
+    vals, vecs = np.linalg.eigh(m / tr[..., None, None])  # ascending
     lam = vals.copy()
-    acc = 0.0
-    for i in range(len(lam)):
-        rem = len(lam) - i
-        if lam[i] + acc / rem < 0:
-            acc += lam[i]
-            lam[i] = 0.0
-        else:
-            lam[i:] += acc / rem
-            break
-    rho = (vecs * lam) @ vecs.conj().T
-    return 0.5 * (rho + rho.conj().T)
+    acc = np.zeros(tr.shape)
+    filling = np.ones(tr.shape, dtype=bool)  # matrices still truncating
+    n = lam.shape[-1]
+    for i in range(n):
+        rem = n - i
+        clip = filling & (lam[..., i] + acc / rem < 0)
+        done = filling & ~clip
+        acc = np.where(clip, acc + lam[..., i], acc)
+        lam[..., i] = np.where(clip, 0.0, lam[..., i])
+        lam[..., i:] += np.where(done, acc / rem, 0.0)[..., None]
+        filling = clip
+    rho = (vecs * lam[..., None, :]) @ _dagger(vecs)
+    return 0.5 * (rho + _dagger(rho))
 
 
 def mle_refine(initial: np.ndarray, counts, tset: TomographySet,
@@ -188,28 +208,30 @@ def mle_refine(initial: np.ndarray, counts, tset: TomographySet,
     )
 
 
-def concurrence(rho: np.ndarray) -> float:
-    """Wootters concurrence of a physical two-qubit state."""
+def concurrence(rho: np.ndarray):
+    """Wootters concurrence of a physical two-qubit state (float), or of
+    each state of an (n, 4, 4) stack (array)."""
     rho = assert_physical(rho)
     rho_tilde = _YY @ rho.conj() @ _YY
     ev = np.linalg.eigvals(rho @ rho_tilde)
-    lam = np.sqrt(np.clip(np.sort(ev.real)[::-1], 0.0, None))
-    return float(max(0.0, lam[0] - lam[1] - lam[2] - lam[3]))
+    lam = np.sqrt(np.clip(np.sort(ev.real, axis=-1)[..., ::-1], 0.0, None))
+    c = lam[..., 0] - lam[..., 1] - lam[..., 2] - lam[..., 3]
+    return _float_or_array(np.maximum(c, 0.0))
 
 
-def purity(rho: np.ndarray) -> float:
+def purity(rho: np.ndarray):
+    """tr(rho^2) of one matrix (float), or of each matrix of a stack (array)."""
     rho = np.asarray(rho)
-    return float(np.real(np.trace(rho @ rho)))
+    return _float_or_array(np.real(np.trace(rho @ rho, axis1=-2, axis2=-1)))
 
 
 def bell_decomposition(rho: np.ndarray) -> BellProbabilities:
-    """Diagonal Bell-state overlaps <B|rho|B>."""
+    """Diagonal Bell-state overlaps <B|rho|B>; fields are floats for one
+    matrix and per-matrix arrays for a stack."""
     rho = assert_physical(rho)
-    vals = {}
-    for name in BELL_LABELS:
-        b = BELL_STATES[name]
-        vals["p_" + name] = float(np.real(b.conj() @ rho @ b))
-    return BellProbabilities(**vals)
+    p = np.einsum("bi,...ij,bj->b...", _BELL_KETS.conj(), rho, _BELL_KETS).real
+    return BellProbabilities(**{"p_" + name: _float_or_array(v)
+                                for name, v in zip(BELL_LABELS, p)})
 
 
 def fidelity(rho: np.ndarray, sigma: np.ndarray) -> float:
@@ -268,6 +290,7 @@ class AngularTomography:
     bins_used: int
     min_counts: int
     mle: bool
+    mle_nonconverged: int  # used bins whose MLE kept its best iterate
 
     def result(self, i: int, j: int) -> TomographyResult:
         return self.results[i * self.n_theta + j]
@@ -299,35 +322,24 @@ class AngularTomography:
             "bins_used": self.bins_used,
             "min_counts": self.min_counts,
             "mle": self.mle,
+            "mle_nonconverged": self.mle_nonconverged,
             "bins": [r.to_dict() for r in self.results],
         }
 
 
-def _reconstruct_bin(counts: np.ndarray, tset: TomographySet, use_mle: bool,
-                     mle_tol: float) -> tuple[np.ndarray, BellProbabilities, float, float]:
-    rho = project_physical(linear_inversion(counts, tset))
-    if use_mle:
-        try:
-            rho = mle_refine(rho, counts, tset, tol=mle_tol)
-        except ConvergenceError as exc:
-            rho = exc.best
-    return rho, bell_decomposition(rho), concurrence(rho), purity(rho)
-
-
 def angular_tomography(histograms, tset: TomographySet, mle: bool = False,
-                       min_counts: int = 200, mle_tol: float = 1e-7,
-                       max_workers: int | None = None) -> AngularTomography:
+                       min_counts: int = 200, mle_tol: float = 1e-7) -> AngularTomography:
     """Reconstruct a density matrix for every (theta_s, theta_i) bin.
 
     ``histograms`` holds one CoincidenceHistogram per setting of ``tset``
     (matched by label; all must share one binning).  Bins whose summed
     counts across the 16 settings fall below ``min_counts`` are flagged
-    low-statistics and excluded from the count-weighted averages.
+    low-statistics and excluded from the count-weighted averages.  The
+    other bins are inverted and projected as one stack; with ``mle`` each
+    is then refined by :func:`mle_refine`, and a bin that does not reach
+    ``mle_tol`` keeps the best iterate and is counted in
+    ``mle_nonconverged``.
     """
-    from concurrent.futures import ThreadPoolExecutor
-
-    from ._threads import worker_count
-
     by_label = {h.setting: h for h in histograms}
     if sorted(by_label) != sorted(tset.labels):
         missing = sorted(set(tset.labels) - set(by_label))
@@ -343,35 +355,37 @@ def angular_tomography(histograms, tset: TomographySet, mle: bool = False,
             raise ConfigurationError("histograms were binned about different centroids")
 
     n_theta = ref.n_theta
-    stack = np.stack([np.asarray(by_label[l].counts_theta, dtype=float)
-                      for l in tset.labels])  # (16, nt, nt)
+    counts = np.stack([np.asarray(by_label[l].counts_theta, dtype=float).ravel()
+                       for l in tset.labels], axis=1)  # (n_theta**2, 16), row-major bins
+    totals = [int(round(t)) for t in counts.sum(axis=1)]
+    used = [k for k, t in enumerate(totals) if t >= min_counts]
 
-    def job(flat_idx: int) -> TomographyResult:
-        i, j = divmod(flat_idx, n_theta)
-        counts = stack[:, i, j]
-        total = int(round(counts.sum()))
-        if total < min_counts:
-            return TomographyResult(i, j, total, True, None,
-                                    float("nan"), float("nan"), None)
-        rho, bell, conc, pur = _reconstruct_bin(counts, tset, mle, mle_tol)
-        return TomographyResult(i, j, total, False, rho, conc, pur, bell)
+    rhos = project_physical(linear_inversion(counts[used], tset))
+    nonconverged = 0
+    if mle:
+        for n, k in enumerate(used):
+            try:
+                rhos[n] = mle_refine(rhos[n], counts[k], tset, tol=mle_tol)
+            except ConvergenceError as exc:
+                rhos[n] = exc.best
+                nonconverged += 1
+    conc = concurrence(rhos)
+    pur = purity(rhos)
+    bell = bell_decomposition(rhos).as_array()  # (4, n_used)
 
-    indices = range(n_theta * n_theta)
-    workers = worker_count(max_workers)
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(job, indices))
-    else:
-        results = [job(k) for k in indices]
+    results = [TomographyResult(*divmod(k, n_theta), t, True, None,
+                                float("nan"), float("nan"), None)
+               for k, t in enumerate(totals)]
+    for n, k in enumerate(used):
+        results[k] = TomographyResult(
+            *divmod(k, n_theta), totals[k], False, rhos[n], float(conc[n]),
+            float(pur[n]), BellProbabilities(*(float(p) for p in bell[:, n])))
 
-    used = [r for r in results if not r.low_statistics]
     if used:
-        w = np.array([r.counts_used for r in used], dtype=float)
-        c = np.array([r.concurrence for r in used])
-        p = np.array([r.purity for r in used])
-        avg_c = float(np.sum(w * c) / w.sum())
-        se = float(np.sqrt(np.sum(w**2 * (c - avg_c) ** 2)) / w.sum())
-        avg_p = float(np.sum(w * p) / w.sum())
+        w = np.array([totals[k] for k in used], dtype=float)
+        avg_c = float(np.sum(w * conc) / w.sum())
+        se = float(np.sqrt(np.sum(w**2 * (conc - avg_c) ** 2)) / w.sum())
+        avg_p = float(np.sum(w * pur) / w.sum())
     else:
         avg_c = se = avg_p = float("nan")
     return AngularTomography(
@@ -383,4 +397,5 @@ def angular_tomography(histograms, tset: TomographySet, mle: bool = False,
         bins_used=len(used),
         min_counts=min_counts,
         mle=mle,
+        mle_nonconverged=nonconverged,
     )

@@ -158,6 +158,18 @@ def test_tomo_and_report_end_to_end(small_run, tmp_path):
     assert "band comparison" in text
 
 
+def test_tomo_mle_reports_nonconverged_bins(small_run, tmp_path, capsys):
+    coinc = tmp_path / "c"
+    tomo = tmp_path / "t"
+    assert main(["coincide", "--in", str(small_run), "--out", str(coinc),
+                 "--ntheta", "4"]) == 0
+    assert main(["tomo", "--in", str(coinc), "--out", str(tomo), "--mle"]) == 0
+    data = json.loads((tomo / "tomography.json").read_text())
+    n = data["mle_nonconverged"]
+    assert 0 <= n <= data["bins_used"]
+    assert f"MLE did not converge in {n} of {data['bins_used']} bins" in capsys.readouterr().out
+
+
 def test_report_identical_inputs_zero_rms(small_run, tmp_path):
     sim = tmp_path / "sim"
     rep = tmp_path / "rep"

@@ -9,10 +9,8 @@ from evblab.coincidence import (
     PolarBinning,
     accidental_estimate,
     bin_polar,
-    centroids_from_events,
     find_coincidences,
     pooled_centroids,
-    resolve_centroids,
 )
 from evblab.errors import ConfigurationError, FormatError
 from evblab.eventsim import EVENT_DTYPE, CameraGeometry, NoiseModel, Rect, default_manifest, generate_setting_events
@@ -140,20 +138,6 @@ def test_matches_brute_force_on_random_streams(window, multi):
         assert got == want
 
 
-def test_chunked_processing_matches_direct():
-    rng = np.random.default_rng(7)
-    ts, ti = random_stream(rng, n_max=4000)
-    for multi in (False, True):
-        cfg = CoincidenceConfig(window=10, allow_multi_match=multi)
-        ev = make_events(ts, ti)
-        direct = find_coincidences(ev, GEO, cfg)
-        ref = sorted(zip(direct.signal["t"].tolist(), direct.idler["t"].tolist()))
-        for chunk in (50, 321, 1000):
-            chunked = find_coincidences(ev, GEO, cfg, chunk_size=chunk)
-            got = sorted(zip(chunked.signal["t"].tolist(), chunked.idler["t"].tolist()))
-            assert got == ref
-
-
 # ---------------------------------------------------------------------------
 # Polar binning
 
@@ -205,7 +189,8 @@ def test_conservation_identity_on_pipeline_run():
     rng = np.random.default_rng(5)
     events, _ = generate_setting_events(state, setting_from_label("HV"), man, rng)
     res = find_coincidences(events, man.geometry, CoincidenceConfig())
-    binning = resolve_centroids(PolarBinning(), events, man.geometry)
+    cs, ci = pooled_centroids([events], man.geometry)
+    binning = PolarBinning(centroid_s=cs, centroid_i=ci)
     hist = bin_polar(res, binning, "HV")
     assert (
         2 * hist.total_pairs
@@ -227,7 +212,8 @@ def test_histogram_dict_round_trip():
     events, _ = generate_setting_events(state, setting_from_label("HV"), man,
                                         np.random.default_rng(2))
     res = find_coincidences(events, man.geometry, CoincidenceConfig())
-    binning = resolve_centroids(PolarBinning(store_full=True), events, man.geometry)
+    cs, ci = pooled_centroids([events], man.geometry)
+    binning = PolarBinning(store_full=True, centroid_s=cs, centroid_i=ci)
     hist = bin_polar(res, binning, "HV")
     back = CoincidenceHistogram.from_dict(hist.to_dict())
     assert np.array_equal(back.counts_theta, hist.counts_theta)
@@ -250,18 +236,10 @@ def test_centroids_from_symmetric_events():
     ev["y"][n:] = np.rint(29.5 + 8 * np.sin(ang))
     ev["t"] = np.arange(2 * n)
     ev = ev[np.argsort(ev["t"], kind="stable")]
-    (cs, ci) = centroids_from_events(ev, GEO)
+    (cs, ci) = pooled_centroids([ev], GEO)
     assert cs[0] == pytest.approx(29.5, abs=0.1)
     assert ci[0] == pytest.approx(97.5, abs=0.1)
-    pooled = pooled_centroids([ev, ev], GEO)
-    assert pooled[0][0] == pytest.approx(cs[0], abs=1e-9)
-
-
-def test_resolve_centroids_preserves_explicit():
-    binning = PolarBinning(centroid_s=(1.0, 2.0), centroid_i=(3.0, 4.0))
-    out = resolve_centroids(binning, make_events([1], [2]), GEO)
-    assert out.centroid_s == (1.0, 2.0)
-    assert out.centroid_i == (3.0, 4.0)
+    np.testing.assert_allclose(pooled_centroids([ev, ev], GEO), (cs, ci), atol=1e-9)
 
 
 # ---------------------------------------------------------------------------

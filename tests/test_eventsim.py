@@ -238,7 +238,7 @@ def test_generate_run_thread_count_invariance(tmp_path, monkeypatch):
     monkeypatch.setenv("EVBLAB_THREADS", "1")
     generate_run(man, tmp_path / "serial")
     monkeypatch.setenv("EVBLAB_THREADS", "4")
-    generate_run(man, tmp_path / "parallel", max_workers=4)
+    generate_run(man, tmp_path / "parallel")
     for fname in man.settings.values():
         assert (tmp_path / "serial" / fname).read_bytes() == (
             tmp_path / "parallel" / fname

@@ -137,6 +137,22 @@ def test_project_trace_preserved_and_psd():
         assert np.linalg.eigvalsh(out).min() >= -1e-12
 
 
+@given(st.integers(0, 2**32 - 1), st.integers(1, 8))
+@settings(max_examples=40, deadline=None)
+def test_project_stack_matches_per_matrix(seed, n):
+    rng = np.random.default_rng(seed)
+    h = rng.normal(size=(n, 4, 4)) + 1j * rng.normal(size=(n, 4, 4))
+    h = (h + h.conj().swapaxes(1, 2)) / 2
+    # shift to a positive trace; eigenvalues may still be negative
+    h += np.eye(4) * (0.1 + np.abs(np.trace(h, axis1=1, axis2=2).real))[:, None, None] / 4
+    out = project_physical(h)
+    assert out.shape == (n, 4, 4)
+    for k in range(n):
+        np.testing.assert_allclose(out[k], project_physical(h[k]), atol=1e-12)
+    np.testing.assert_allclose(np.trace(out, axis1=1, axis2=2).real, 1.0, atol=1e-12)
+    assert np.linalg.eigvalsh(out).min() >= -1e-12
+
+
 def test_project_rejects_non_hermitian():
     m = np.eye(4, dtype=complex)
     m[0, 1] = 1.0
@@ -406,3 +422,69 @@ def test_result_serialization_round_trip_fields():
     b0 = d["bins"][0]
     rho_rt = (np.array(b0["rho_re"]) + 1j * np.array(b0["rho_im"])).reshape(4, 4)
     np.testing.assert_allclose(rho_rt, tomo.results[0].rho, atol=1e-15)
+
+
+def _per_bin_reference(hists, min_counts, mle, mle_tol):
+    """Bin-by-bin reconstruction with the public per-matrix functions."""
+    by_label = {h.setting: h for h in hists}
+    stack = np.stack([by_label[l].counts_theta for l in TSET.labels])
+    out, nonconverged = {}, 0
+    for i, j in np.ndindex(stack.shape[1:]):
+        counts = stack[:, i, j]
+        if int(round(counts.sum())) < min_counts:
+            continue
+        rho = project_physical(linear_inversion(counts, TSET))
+        if mle:
+            try:
+                rho = mle_refine(rho, counts, TSET, tol=mle_tol)
+            except ConvergenceError as exc:
+                rho = exc.best
+                nonconverged += 1
+        out[i, j] = (rho, concurrence(rho), purity(rho), bell_decomposition(rho))
+    return out, nonconverged
+
+
+@pytest.mark.parametrize("mle", [False, True])
+def test_angular_tomography_matches_per_bin_calls(mle):
+    rng = np.random.default_rng(19)
+    states = [[random_state(rng) for _ in range(6)] for _ in range(6)]
+    # fluxes from a few counts (low-statistics bins) up to well-resolved bins
+    flux = rng.choice([20.0, 150.0, 800.0, 5000.0], size=(6, 6))
+    hists = synthetic_histograms(lambda i, j: states[i][j], 6, flux=1.0)
+    for h in hists:
+        h.counts_theta = rng.poisson(h.counts_theta * flux).astype(float)
+    tomo = angular_tomography(hists, TSET, min_counts=200, mle=mle, mle_tol=1e-7)
+    ref, nonconverged = _per_bin_reference(hists, 200, mle, 1e-7)
+    assert 0 < tomo.bins_used == len(ref) < 36
+    assert tomo.mle_nonconverged == nonconverged
+    for r in tomo.results:
+        if r.low_statistics:
+            assert (r.bin_s, r.bin_i) not in ref and r.rho is None
+            continue
+        rho, conc, pur, bell = ref[r.bin_s, r.bin_i]
+        np.testing.assert_allclose(r.rho, rho, rtol=0, atol=1e-12)
+        assert r.concurrence == pytest.approx(conc, abs=1e-12)
+        assert r.purity == pytest.approx(pur, abs=1e-12)
+        np.testing.assert_allclose(r.bell_probs.as_array(), bell.as_array(), rtol=0, atol=1e-12)
+        assert isinstance(r.concurrence, float) and isinstance(r.bell_probs.p_phi_plus, float)
+
+
+def test_angular_tomography_counts_mle_nonconvergence():
+    rng = np.random.default_rng(20)
+    rho = werner(0.9)
+    hists = synthetic_histograms(lambda i, j: rho, 2, flux=3000, rng=rng)
+    for h in hists:
+        h.counts_theta[1, 0] = 0.0
+    # a zero gradient-norm tolerance is never met, so every used bin keeps
+    # its best iterate and is counted
+    tomo = angular_tomography(hists, TSET, min_counts=200, mle=True, mle_tol=0.0)
+    assert tomo.bins_used == 3
+    assert tomo.mle_nonconverged == 3
+    assert tomo.to_dict()["mle_nonconverged"] == 3
+    ref, _ = _per_bin_reference(hists, 200, True, 0.0)
+    for r in tomo.results:
+        if not r.low_statistics:
+            assert_physical(r.rho)
+            np.testing.assert_allclose(r.rho, ref[r.bin_s, r.bin_i][0], rtol=0, atol=1e-12)
+    linear = angular_tomography(hists, TSET, min_counts=200)
+    assert linear.mle_nonconverged == 0
