@@ -37,7 +37,6 @@ from .eventsim import (
     RunManifest,
     generate_run,
     read_events,
-    sample_pair,
     write_events,
 )
 from .coincidence import (

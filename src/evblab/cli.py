@@ -122,26 +122,30 @@ def cmd_generate(args) -> int:
 
 
 def _load_run(run_dir: Path) -> tuple[RunManifest, dict]:
+    """The run's manifest and the path of each setting's event file."""
     manifest_path = run_dir / "manifest.json"
     if not manifest_path.exists():
         raise FormatError(f"no manifest.json in {run_dir}")
     manifest = RunManifest.from_json(manifest_path.read_text())
-    events = {}
+    paths = {}
     for label, fname in manifest.settings.items():
-        path = run_dir / fname
-        if not path.exists():
-            raise FormatError(f"missing event file for setting {label}: {path}")
-        events[label] = read_events(path)
-    return manifest, events
+        paths[label] = run_dir / fname
+        if not paths[label].exists():
+            raise FormatError(f"missing event file for setting {label}: {paths[label]}")
+    return manifest, paths
 
 
 def cmd_coincide(args) -> int:
     run_dir = Path(getattr(args, "in"))
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    manifest, events = _load_run(run_dir)
+    manifest, paths = _load_run(run_dir)
     config = CoincidenceConfig(window=args.window_ns)
-    centroid_s, centroid_i = pooled_centroids(events.values(), manifest.geometry)
+    # One setting's events in memory at a time: a streaming pass for the
+    # pooled centroids, then one file per setting.
+    centroid_s, centroid_i = pooled_centroids(
+        (read_events(p) for p in paths.values()), manifest.geometry
+    )
     binning = PolarBinning(
         n_r=args.nr,
         n_theta=args.ntheta,
@@ -150,7 +154,8 @@ def cmd_coincide(args) -> int:
         centroid_i=centroid_i,
     )
     bundle = {}
-    for label, ev in events.items():
+    for label, path in paths.items():
+        ev = read_events(path)
         result = find_coincidences(ev, manifest.geometry, config)
         hist = bin_polar(result, binning, label)
         if args.subtract_accidentals:

@@ -147,10 +147,6 @@ class MatchResult:
     def n_singles(self) -> int:
         return self.n_signal_events + self.n_idler_events - 2 * self.n_pairs
 
-    def pairs(self):
-        """Iterate (signal_record, idler_record) tuples."""
-        return list(zip(self.signal, self.idler))
-
 
 # ---------------------------------------------------------------------------
 # Matching

@@ -26,6 +26,7 @@ from .errors import FormatError, SamplingError
 from .qplate_state import _SECTOR_INDEX, ModeSuperposition, QPlateParams, evb_state
 from .polarimetry import (
     MeasurementSetting,
+    _coherent_mass,
     _projected_coefficients,
     pass_probability,
     setting_from_label,
@@ -315,14 +316,8 @@ class PairPositionSampler:
         # Components can cancel coherently (same modes, opposite amplitudes);
         # detect an identically-zero density up front instead of rejecting
         # forever.  Within a group, terms with equal mode indices interfere.
-        total = 0.0
-        for g in set(self.groups.tolist()):
-            sel = self.groups == g
-            modes = {}
-            for c, ls, li in zip(self.coeffs[sel], self.ell_s[sel], self.ell_i[sel]):
-                modes[(ls, li)] = modes.get((ls, li), 0.0) + c
-            total += sum(abs(v) ** 2 for v in modes.values())
-        if total < 1e-28:
+        keys = zip(self.groups.tolist(), self.ell_s.tolist(), self.ell_i.tolist())
+        if _coherent_mass(self.coeffs, keys) < 1e-28:
             raise ValueError("density is identically zero for this projection")
         self.waist_s = waist_s
         self.waist_i = waist_i
@@ -447,21 +442,6 @@ def _dark_events(noise: NoiseModel, geometry: CameraGeometry, duration_s: float,
         rec["t"] = rng.uniform(0.0, duration_s * 1e9, size=n).astype(np.uint64)
         rec["tot"] = rng.choice(TOT_VALUES, size=n, p=TOT_WEIGHTS)
     return rec
-
-
-def sample_pair(state, setting, noise: NoiseModel, geometry: CameraGeometry,
-                rng, duration: float = 1.0):
-    """Draw one pair from the conditional coincidence density of a setting.
-
-    Returns (signal_record_or_None, idler_record_or_None): both present, a
-    single survivor after efficiency thinning, or neither.
-    """
-    sampler = projected_sampler(state, setting)
-    r_s, th_s, r_i, th_i = sampler.sample(1, rng)
-    t_true = rng.uniform(0.0, duration * 1e9, size=1)
-    rec_s = _detect_photons(r_s, th_s, geometry.centroid_s, t_true, noise, geometry, rng)
-    rec_i = _detect_photons(r_i, th_i, geometry.centroid_i, t_true, noise, geometry, rng)
-    return (rec_s[0] if len(rec_s) else None, rec_i[0] if len(rec_i) else None)
 
 
 def generate_setting_events(state, setting: MeasurementSetting,

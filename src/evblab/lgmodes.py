@@ -73,37 +73,48 @@ def mode_amplitude(profile: RadialProfile, r, theta):
     return out if np.ndim(out) else complex(out)
 
 
-def peak_radius(profile: RadialProfile) -> float:
-    """Radius of maximum amplitude: 0 for ell=0, w*sqrt(|l|/2) otherwise."""
-    return profile.waist * math.sqrt(abs(profile.ell) / 2.0)
+_gamma = np.vectorize(math.gamma, otypes=[float])
 
 
-def radial_quadrature(waist: float, n_nodes: int = 64, r_max: float | None = None):
-    """Gauss-Legendre nodes and weights on [0, r_max] for radial integrals.
+def radial_overlap(ell_a, ell_b):
+    """integral of F_a(r) F_b(r) r dr over [0, inf), for scalar or array indices.
 
-    The default span of five waists captures the mode energy of every
-    supported index to well below 1e-10.  Weights do NOT include the
-    Jacobian factor r; callers multiply by r themselves.
+    Closed form Gamma((|a| + |b|)/2 + 1) / (2 pi sqrt(|a|! |b|!)), the same at
+    every waist; equals 1/(2 pi) when ell_a == +-ell_b (shared radial profile).
     """
-    if n_nodes < 2:
-        raise ValueError("need at least 2 quadrature nodes")
-    if r_max is None:
-        r_max = 5.0 * waist
-    if not r_max > 0:
-        raise ValueError("r_max must be positive")
-    x, w = np.polynomial.legendre.leggauss(n_nodes)
-    nodes = 0.5 * r_max * (x + 1.0)
-    weights = 0.5 * r_max * w
-    return nodes, weights
+    a = np.abs(np.asarray(ell_a, dtype=float))
+    b = np.abs(np.asarray(ell_b, dtype=float))
+    norm = 2.0 * math.pi * np.sqrt(_gamma(a + 1.0) * _gamma(b + 1.0))
+    out = _gamma((a + b) / 2.0 + 1.0) / norm
+    return out if out.ndim else float(out)
 
 
-def radial_overlap(ell_a: int, ell_b: int, waist: float, n_nodes: int = 96) -> float:
-    """integral of F_a(r) F_b(r) r dr over [0, 5w].
+# Gauss-Legendre rule on [-1, 1] for per-bin radial integrals
+_BIN_NODES, _BIN_WEIGHTS = np.polynomial.legendre.leggauss(24)
 
-    Equals 1/(2 pi) when ell_a == +-ell_b (shared radial profile); used for
-    cross-mode spatial interference terms in analytic histograms.
+
+def radial_bin_overlaps(ells, waist: float, edges) -> np.ndarray:
+    """integral of F_a(r) F_b(r) r dr over each radial bin, for all (a, b).
+
+    Returns an (n, n, n_bins) array for the n indices ``ells``; 24-node
+    Gauss-Legendre per bin.
     """
-    r, w = radial_quadrature(waist, n_nodes)
-    fa = evaluate(RadialProfile(ell_a, waist), r)
-    fb = evaluate(RadialProfile(ell_b, waist), r)
-    return float(np.sum(fa * fb * r * w))
+    edges = np.asarray(edges, dtype=float)
+    half = 0.5 * np.diff(edges)[:, None]
+    r = half * (_BIN_NODES + 1.0) + edges[:-1, None]  # (n_bins, nodes)
+    distinct, idx = np.unique(ells, return_inverse=True)
+    f = np.array([evaluate(RadialProfile(int(l), waist), r) for l in distinct])[idx]
+    return np.einsum("abn,cbn,bn->acb", f, f, r * half * _BIN_WEIGHTS)
+
+
+def azimuthal_bin_integrals(dl, edges) -> np.ndarray:
+    """integral of exp(i dl theta) over each [edges[b], edges[b+1]), for an
+    integer array dl; the bin axis comes last."""
+    dl = np.asarray(dl)
+    lo, hi = edges[:-1], edges[1:]
+    out = np.empty(dl.shape + (len(lo),), dtype=complex)
+    zero = dl == 0
+    out[zero] = (hi - lo)[None, :]
+    d = dl[~zero][:, None].astype(float)
+    out[~zero] = (np.exp(1j * d * hi) - np.exp(1j * d * lo)) / (1j * d)
+    return out

@@ -12,14 +12,19 @@ serving as ground truth for the Monte-Carlo event pipeline.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .coincidence import CoincidenceHistogram, PolarBinning
-from .lgmodes import RadialProfile, evaluate
-from .qplate_state import JONES, ModeSuperposition, local_spinor_linear
+from .lgmodes import azimuthal_bin_integrals, radial_bin_overlaps
+from .qplate_state import (
+    JONES,
+    ModeSuperposition,
+    bin_mass,
+    local_spinor_linear,
+    term_projections,
+)
 
 SIGNAL_ANALYZERS = ("H", "V", "A", "R")
 IDLER_ANALYZERS = ("H", "V", "A", "L")
@@ -138,41 +143,7 @@ def coincidence_density(state: ModeSuperposition, setting: MeasurementSetting,
 
 def _projected_coefficients(state: ModeSuperposition, setting: MeasurementSetting):
     """Per-term complex coefficient after projecting both polarizations."""
-    coeffs = []
-    for t in state.terms:
-        a_s = np.vdot(setting.proj_s, JONES[t.pol_s])
-        a_i = np.vdot(setting.proj_i, JONES[t.pol_i])
-        coeffs.append(t.amp * a_s * a_i)
-    return np.asarray(coeffs, dtype=complex)
-
-
-def _theta_bin_integrals(dl: np.ndarray, edges: np.ndarray) -> np.ndarray:
-    """integral of exp(i dl theta) over each [edges[b], edges[b+1])."""
-    lo, hi = edges[:-1], edges[1:]
-    out = np.empty(dl.shape + (len(lo),), dtype=complex)
-    zero = dl == 0
-    out[zero] = (hi - lo)[None, :]
-    nz = ~zero
-    d = dl[nz][:, None].astype(float)
-    out[nz] = (np.exp(1j * d * hi) - np.exp(1j * d * lo)) / (1j * d)
-    return out
-
-
-def _radial_bin_integrals(ells: np.ndarray, waist: float, edges: np.ndarray,
-                          nodes_per_bin: int = 24) -> np.ndarray:
-    """integral of F_a(r) F_b(r) r dr over each radial bin, for all (a, b)."""
-    n = len(ells)
-    out = np.zeros((n, n, len(edges) - 1))
-    x, w = np.polynomial.legendre.leggauss(nodes_per_bin)
-    for b in range(len(edges) - 1):
-        lo, hi = edges[b], edges[b + 1]
-        r = 0.5 * (hi - lo) * (x + 1.0) + lo
-        ww = 0.5 * (hi - lo) * w
-        vals = {l: evaluate(RadialProfile(int(l), waist), r) for l in set(ells.tolist())}
-        for i, la in enumerate(ells):
-            for j, lb in enumerate(ells):
-                out[i, j, b] = np.sum(vals[la] * vals[lb] * r * ww)
-    return out
+    return term_projections(state, np.kron(setting.proj_s, setting.proj_i))
 
 
 def expected_histogram(state: ModeSuperposition, setting: MeasurementSetting,
@@ -186,35 +157,20 @@ def expected_histogram(state: ModeSuperposition, setting: MeasurementSetting,
     coeffs = _projected_coefficients(state, setting)
     ell_s = np.array([t.ell_s for t in state.terms])
     ell_i = np.array([t.ell_i for t in state.terms])
-    C = coeffs[:, None] * coeffs.conj()[None, :]
+    Rs = radial_bin_overlaps(ell_s, state.waist_s, binning.r_edges())
+    Ri = radial_bin_overlaps(ell_i, state.waist_i, binning.r_edges())
+    Ts = azimuthal_bin_integrals(ell_s[:, None] - ell_s[None, :], binning.theta_edges())
+    Ti = azimuthal_bin_integrals(ell_i[:, None] - ell_i[None, :], binning.theta_edges())
 
-    t_edges = binning.theta_edges()
-    r_edges = binning.r_edges()
-    dls = ell_s[:, None] - ell_s[None, :]
-    dli = ell_i[:, None] - ell_i[None, :]
-    Ts = _theta_bin_integrals(dls, t_edges)
-    Ti = _theta_bin_integrals(dli, t_edges)
-    Rs = _radial_bin_integrals(ell_s, state.waist_s, r_edges)
-    Ri = _radial_bin_integrals(ell_i, state.waist_i, r_edges)
-    Rs_tot = Rs.sum(axis=2)
-    Ri_tot = Ri.sum(axis=2)
-    # Full-angle integrals are 2*pi deltas on matching indices.
-    Ts_tot = np.where(dls == 0, 2.0 * math.pi, 0.0)
-    Ti_tot = np.where(dli == 0, 2.0 * math.pi, 0.0)
+    def total(f):
+        return f.sum(axis=2, keepdims=True)
 
-    counts_theta = n_pairs * np.real(
-        np.einsum("kl,kl,kl,kla,klb->ab", C, Rs_tot, Ri_tot, Ts, Ti)
-    )
-    counts_r = n_pairs * np.real(
-        np.einsum("kl,kl,kl,kla,klb->ab", C, Ts_tot, Ti_tot, Rs, Ri)
-    )
+    counts_theta = n_pairs * bin_mass(coeffs, total(Rs), Ts, total(Ri), Ti)[0, :, 0, :]
+    counts_r = n_pairs * bin_mass(coeffs, Rs, total(Ts), Ri, total(Ti))[:, 0, :, 0]
     counts_full = None
     if binning.store_full:
-        full = n_pairs * np.real(
-            np.einsum("klp,kla,klq,klb,kl->paqb", Rs, Ts, Ri, Ti, C)
-        )
         n = binning.n_r * binning.n_theta
-        counts_full = full.reshape(n, n)
+        counts_full = (n_pairs * bin_mass(coeffs, Rs, Ts, Ri, Ti)).reshape(n, n)
 
     return CoincidenceHistogram(
         setting=setting.label,
@@ -230,15 +186,23 @@ def expected_histogram(state: ModeSuperposition, setting: MeasurementSetting,
     )
 
 
+def _coherent_mass(coeffs, keys) -> float:
+    """Sum over distinct keys of |sum of the coefficients sharing the key|^2.
+
+    Terms with equal mode indices interfere; distinct modes are orthogonal
+    and add incoherently.
+    """
+    groups = {}
+    for c, k in zip(coeffs, keys):
+        groups[k] = groups.get(k, 0.0) + c
+    return float(sum(abs(v) ** 2 for v in groups.values()))
+
+
 def pass_probability(state: ModeSuperposition, setting: MeasurementSetting) -> float:
     """Probability that a pair in ``state`` passes both analyzers (all space).
 
     Uses orthonormality of the spatial modes: terms sharing (ell_s, ell_i)
     interfere, distinct ones add incoherently.
     """
-    coeffs = _projected_coefficients(state, setting)
-    groups: dict[tuple[int, int], complex] = {}
-    for c, t in zip(coeffs, state.terms):
-        k = (t.ell_s, t.ell_i)
-        groups[k] = groups.get(k, 0.0) + c
-    return float(sum(abs(v) ** 2 for v in groups.values()))
+    return _coherent_mass(_projected_coefficients(state, setting),
+                          [(t.ell_s, t.ell_i) for t in state.terms])

@@ -23,7 +23,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import UnsupportedCompositionError
-from .lgmodes import RadialProfile, evaluate, radial_overlap
+from .lgmodes import (
+    RadialProfile,
+    azimuthal_bin_integrals,
+    evaluate,
+    radial_overlap,
+)
 
 # ---------------------------------------------------------------------------
 # Polarization basis
@@ -281,26 +286,33 @@ def bell_probabilities(state, r_s, theta_s, r_i, theta_i) -> BellProbabilities:
 
 
 # ---------------------------------------------------------------------------
-# Angular Bell probability maps
+# Projections, bin masses and angular Bell probability maps
 
-def _bell_sector_overlaps() -> np.ndarray:
-    """<B | pol sector> for the four Bell states x four circular sectors."""
-    out = np.zeros((4, 4), dtype=complex)
-    for bi, name in enumerate(BELL_LABELS):
-        b = BELL_STATES[name]
-        for (pols, poli), si in _SECTOR_INDEX.items():
-            sector = np.kron(JONES[pols], JONES[poli])
-            out[bi, si] = b.conj() @ sector
-    return out
+def term_projections(state: ModeSuperposition, kets) -> np.ndarray:
+    """Amplitude of each term along one or more two-qubit kets.
+
+    ``kets`` has shape (..., 4) in the (HH, HV, VH, VV) basis; the result has
+    shape (..., n_terms) and holds <ket | pol sector of term k> * amp_k.
+    """
+    sector = [_SECTOR_INDEX[(t.pol_s, t.pol_i)] for t in state.terms]
+    amp = np.array([t.amp for t in state.terms], dtype=complex)
+    return (np.asarray(kets).conj() @ CIRC_TO_LIN)[..., sector] * amp
 
 
-def bell_probability_map(
-    state: ModeSuperposition,
-    n_theta: int,
-    n_radial_nodes: int = 64,
-    r_max_factor: float = 5.0,
-    average_over_bins: bool = False,
-):
+def bin_mass(coeffs, rad_s, ang_s, rad_i, ang_i) -> np.ndarray:
+    """Re sum_kl c_k c_l^* R^s_kl T^s_kl R^i_kl T^i_kl over polar bins.
+
+    ``coeffs`` has shape (..., n) over the n terms; each mode-integral factor
+    has shape (n, n, m) over its own m bins (m = 1 for a full-range
+    integral).  Returns shape (..., m_rs, m_ts, m_ri, m_ti).
+    """
+    c = np.asarray(coeffs)
+    pair = c[..., :, None] * c[..., None, :].conj()
+    return np.einsum("...kl,klp,kla,klq,klb->...paqb", pair, rad_s, ang_s, rad_i, ang_i).real
+
+
+def bell_probability_map(state: ModeSuperposition, n_theta: int,
+                         average_over_bins: bool = False):
     """Radially integrated Bell probabilities on an n_theta x n_theta angular grid.
 
     Entry (a, b) of each returned matrix is the radial integral of the Bell
@@ -309,7 +321,7 @@ def bell_probability_map(
     map, directly comparable to per-bin tomography output).
 
     With ``average_over_bins`` the angular dependence is averaged exactly over
-    each square bin (analytic sinc factors) instead of sampled at the center.
+    each square bin instead of sampled at the center.
 
     Returns
     -------
@@ -318,53 +330,28 @@ def bell_probability_map(
     """
     if n_theta < 4:
         raise ValueError("need at least 4 angular bins")
-    if n_radial_nodes < 2 or r_max_factor <= 0:
-        raise ValueError("degenerate radial quadrature")
+    beta = term_projections(state, np.array([BELL_STATES[b] for b in BELL_LABELS]))
+    ell_s = np.array([t.ell_s for t in state.terms])
+    ell_i = np.array([t.ell_i for t in state.terms])
+    edges = np.linspace(0.0, 2.0 * math.pi, n_theta + 1)
+    centers = (np.arange(n_theta) + 0.5) * (2.0 * math.pi / n_theta)
 
-    terms = state.terms
-    n = len(terms)
-    overlaps = _bell_sector_overlaps()
-    # beta[B, k]: Bell-state amplitude coefficient of term k
-    beta = np.array(
-        [
-            [overlaps[bi, _SECTOR_INDEX[(t.pol_s, t.pol_i)]] * t.amp for t in terms]
-            for bi in range(4)
-        ]
-    )
+    def angular(ells):
+        dl = ells[:, None] - ells[None, :]
+        if average_over_bins:
+            # bin integrals, not averages: the width cancels in the normalization
+            return azimuthal_bin_integrals(dl, edges)
+        return np.exp(1j * dl[..., None] * centers)
 
-    ell_s = np.array([t.ell_s for t in terms])
-    ell_i = np.array([t.ell_i for t in terms])
-    rad_s = np.zeros((n, n))
-    rad_i = np.zeros((n, n))
-    for k in range(n):
-        for kp in range(n):
-            rad_s[k, kp] = radial_overlap(
-                ell_s[k], ell_s[kp], state.waist_s, n_nodes=n_radial_nodes
-            )
-            rad_i[k, kp] = radial_overlap(
-                ell_i[k], ell_i[kp], state.waist_i, n_nodes=n_radial_nodes
-            )
+    def radial(ells):
+        return radial_overlap(ells[:, None], ells[None, :])[..., None]
 
-    width = 2.0 * math.pi / n_theta
-    centers = (np.arange(n_theta) + 0.5) * width
-    dls = ell_s[:, None] - ell_s[None, :]
-    dli = ell_i[:, None] - ell_i[None, :]
-    # exp(i dl theta) at centers, optionally damped by the exact bin average
-    phase_s = np.exp(1j * dls[..., None] * centers)  # (n, n, n_theta)
-    phase_i = np.exp(1j * dli[..., None] * centers)
-    if average_over_bins:
-        phase_s = phase_s * np.sinc(dls[..., None] * width / (2.0 * math.pi))
-        phase_i = phase_i * np.sinc(dli[..., None] * width / (2.0 * math.pi))
-
-    maps = {}
-    for bi, name in enumerate(BELL_LABELS):
-        coef = (beta[bi][:, None] * beta[bi].conj()[None, :]) * rad_s * rad_i
-        m = np.einsum("kl,kla,klb->ab", coef, phase_s, phase_i)
-        maps[name] = np.real(m)
-    total = sum(maps.values())
+    mass = bin_mass(beta, radial(ell_s), angular(ell_s), radial(ell_i), angular(ell_i))
+    mass = mass[:, 0, :, 0, :]
+    total = mass.sum(axis=0)
     if np.any(total <= 0):
         raise ValueError("state has vanishing angular marginal; cannot normalize")
-    return {k: v / total for k, v in maps.items()}, centers
+    return {name: m / total for name, m in zip(BELL_LABELS, mass)}, centers
 
 
 def torus_coordinates(maps: dict, theta_centers: np.ndarray, ring_radius: float = 2.0,

@@ -20,7 +20,6 @@ from evblab.eventsim import (
     intensity_sampler,
     projected_sampler,
     read_events,
-    sample_pair,
     write_events,
 )
 from evblab.polarimetry import (
@@ -143,27 +142,26 @@ def test_manifest_validation():
 
 
 # ---------------------------------------------------------------------------
-# Single-pair sampling
+# Pair detection
 
-def test_sample_pair_shared_time_at_unit_efficiency():
-    state = evb_state(*plates(0.5, 0.5))
-    geo = CameraGeometry()
+def test_setting_events_share_time_at_unit_efficiency():
+    man = small_manifest(n_pairs=200, seed=2, efficiency=1.0, jitter_sigma=0.0)
+    state = evb_state(man.qplate_s, man.qplate_i)
     rng = np.random.default_rng(2)
-    noise = NoiseModel(efficiency=1.0, jitter_sigma=0.0)
-    for _ in range(20):
-        s, i = sample_pair(state, setting_from_label("HV"), noise, geo, rng)
-        assert s is not None and i is not None
-        assert s["t"] == i["t"]
+    events, stats = generate_setting_events(state, setting_from_label("HV"), man, rng)
+    assert stats["passed_entangled"] > 20
+    assert len(events) == 2 * stats["passed_entangled"]
+    # time-sorted: the two photons of each pair sit next to each other
+    np.testing.assert_array_equal(events["t"][0::2], events["t"][1::2])
 
 
-def test_sample_pair_zero_efficiency_yields_nothing():
-    state = evb_state(*plates(0.5, 0.5))
-    geo = CameraGeometry()
+def test_setting_events_zero_efficiency_yields_nothing():
+    man = small_manifest(n_pairs=200, seed=3, efficiency=0.0)
+    state = evb_state(man.qplate_s, man.qplate_i)
     rng = np.random.default_rng(3)
-    noise = NoiseModel(efficiency=0.0)
-    for _ in range(10):
-        s, i = sample_pair(state, setting_from_label("HV"), noise, geo, rng)
-        assert s is None and i is None
+    events, stats = generate_setting_events(state, setting_from_label("HV"), man, rng)
+    assert stats["passed_entangled"] > 20
+    assert len(events) == 0
 
 
 def test_sampled_angles_follow_sine_squared_law():

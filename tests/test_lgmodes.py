@@ -7,11 +7,11 @@ from scipy.integrate import quad
 
 from evblab.lgmodes import (
     RadialProfile,
+    azimuthal_bin_integrals,
     evaluate,
     mode_amplitude,
-    peak_radius,
+    radial_bin_overlaps,
     radial_overlap,
-    radial_quadrature,
 )
 
 
@@ -49,8 +49,7 @@ def test_unit_norm_all_indices(ell, waist):
 def test_peak_location(ell):
     w = 2.5
     prof = RadialProfile(ell, w)
-    r_star = peak_radius(prof)
-    assert r_star == pytest.approx(w * math.sqrt(ell / 2), rel=1e-12)
+    r_star = w * math.sqrt(ell / 2)
     r = np.linspace(1e-3, 6 * w, 20001)
     assert abs(r[np.argmax(evaluate(prof, r))] - r_star) < 2e-3 * w
 
@@ -101,30 +100,41 @@ def test_invalid_arguments():
         evaluate(RadialProfile(1, 1.0), math.inf)
 
 
-def test_radial_quadrature_integrates_modes():
-    # Gauss-Legendre grid over [0, 5w] integrates |F|^2 r to 1/(2 pi).
-    for ell in (0, 2, 4):
-        r, w = radial_quadrature(1.0, 96)
-        f = evaluate(RadialProfile(ell, 1.0), r)
-        assert np.sum(f * f * r * w) == pytest.approx(1 / (2 * math.pi), abs=1e-10)
-
-
-def test_radial_quadrature_validation():
-    with pytest.raises(ValueError):
-        radial_quadrature(1.0, 1)
-    with pytest.raises(ValueError):
-        radial_quadrature(1.0, 10, r_max=0.0)
-
-
 def test_radial_overlap_orthonormal_and_cross():
     # same |ell|: overlap = 1/(2 pi); differing |ell|: strictly between 0 and that
-    same = radial_overlap(2, -2, 1.0)
+    same = radial_overlap(2, -2)
     assert same == pytest.approx(1 / (2 * math.pi), abs=1e-10)
-    cross = radial_overlap(0, 2, 1.0)
-    oracle, _ = quad(
-        lambda r: evaluate(RadialProfile(0, 1.0), r)
-        * evaluate(RadialProfile(2, 1.0), r) * r,
-        0, 30, limit=200,
-    )
-    assert cross == pytest.approx(oracle, abs=1e-10)
+    cross = radial_overlap(0, 2)
     assert 0 < cross < same
+
+
+@pytest.mark.parametrize("ell_a", range(9))
+def test_radial_overlap_closed_form_matches_quadrature(ell_a):
+    # the closed form holds for every index pair and does not depend on the waist
+    for ell_b in range(-8, 9):
+        for waist in (1.0, 3.0):
+            oracle, _ = quad(
+                lambda r: evaluate(RadialProfile(ell_a, waist), r)
+                * evaluate(RadialProfile(ell_b, waist), r) * r,
+                0, math.inf, limit=200,
+            )
+            assert radial_overlap(ell_a, ell_b) == pytest.approx(oracle, abs=1e-10)
+    np.testing.assert_array_equal(
+        radial_overlap(ell_a, np.arange(-8, 9)),
+        [radial_overlap(ell_a, b) for b in range(-8, 9)],
+    )
+
+
+def test_bin_integrals_add_up_to_full_range():
+    ells = np.array([-2, 0, 1, 3])
+    edges = np.linspace(0.0, 10.0 * 1.5, 7)  # ten waists: the tail is below 1e-40
+    bins = radial_bin_overlaps(ells, 1.5, edges)
+    assert bins.shape == (4, 4, 6)
+    np.testing.assert_allclose(
+        bins.sum(axis=2), radial_overlap(ells[:, None], ells[None, :]), atol=1e-14
+    )
+    dl = ells[:, None] - ells[None, :]
+    ang = azimuthal_bin_integrals(dl, np.linspace(0.0, 2 * math.pi, 9))
+    assert ang.shape == (4, 4, 8)
+    np.testing.assert_allclose(ang.sum(axis=2), np.where(dl == 0, 2 * math.pi, 0.0),
+                               atol=1e-14)

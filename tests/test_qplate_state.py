@@ -320,8 +320,23 @@ def test_map_rejects_degenerate_grid():
     state = evb_state(*plates(0.5, 0.5))
     with pytest.raises(ValueError):
         bell_probability_map(state, 3)
-    with pytest.raises(ValueError):
-        bell_probability_map(state, 8, n_radial_nodes=1)
+
+
+def test_map_half_tuned_matches_radial_quadrature_oracle():
+    # eight terms with |ell_s| != |ell_i| pairs: exercises the cross-index
+    # radial overlaps that the tuned states never reach
+    state = evb_state(*plates(0.5, 1.0, delta=math.pi / 2))
+    assert len(state.terms) == 8
+    maps, centers = bell_probability_map(state, 16)
+    x, w = np.polynomial.legendre.leggauss(64)
+    r = 3.0 * (x + 1.0)  # [0, 6 waists]
+    rw = 3.0 * w * r
+    R_S, R_I, TS, TI = np.meshgrid(r, r, centers, centers, indexing="ij", sparse=True)
+    p = bell_probabilities(state, R_S, TS, R_I, TI).as_array()
+    oracle = np.einsum("bstxy,s,t->bxy", p, rw, rw)
+    oracle /= oracle.sum(axis=0)
+    for k, name in enumerate(BELL_LABELS):
+        np.testing.assert_allclose(maps[name], oracle[k], atol=1e-9)
 
 
 def test_torus_coordinates_shape_and_radii():
