@@ -167,9 +167,7 @@ def cmd_coincide(args) -> int:
             hist.counts_theta = np.maximum(hist.counts_theta - per_bin, 0.0)
             if hist.total_pairs:
                 hist.counts_r = hist.counts_r * max(0.0, 1.0 - acc / hist.total_pairs)
-        d = hist.to_dict()
-        _writejson(out / f"hist_{label}.json", d)
-        bundle[label] = d
+        bundle[label] = hist.to_dict()
         print(f"{label}: {hist.total_pairs} pairs "
               f"({hist.total_singles} singles, {hist.dropped_by_radius} beyond r_max)")
     _writejson(out / "histograms.json", {
@@ -185,7 +183,7 @@ def cmd_coincide(args) -> int:
         "settings": bundle,
         "version": __version__,
     })
-    print(f"wrote per-setting histograms + bundle to {out}")
+    print(f"wrote the histograms of all {len(bundle)} settings to {out / 'histograms.json'}")
     return 0
 
 

@@ -7,6 +7,7 @@ import pytest
 
 from evblab.cli import main
 from evblab.gridio import read_csv_matrix
+from evblab.polarimetry import standard_set
 
 
 def run_cli(*args):
@@ -89,10 +90,11 @@ def test_coincide_outputs(small_run, tmp_path):
                "--ntheta", "8", "--nr", "4"])
     assert rc == 0
     bundle = json.loads((out / "histograms.json").read_text())
-    assert len(bundle["settings"]) == 16
+    assert sorted(bundle["settings"]) == sorted(standard_set().labels)
     hh = bundle["settings"]["HH"]
     assert np.array(hh["counts_theta"]).shape == (8, 8)
-    assert (out / "hist_RL.json").exists()
+    # the bundle is the only histogram output; tomo reads nothing else
+    assert not list(out.glob("hist_*.json"))
 
 
 def test_coincide_rejects_corrupt_magic(small_run, tmp_path):

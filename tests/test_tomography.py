@@ -29,8 +29,8 @@ TSET = standard_set()
 PSI_MINUS = BELL_STATES["psi_minus"]
 
 
-def random_state(rng):
-    g = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+def random_state(rng, rank=4):
+    g = rng.normal(size=(4, rank)) + 1j * rng.normal(size=(4, rank))
     rho = g @ g.conj().T
     return rho / np.trace(rho).real
 
@@ -153,6 +153,34 @@ def test_project_stack_matches_per_matrix(seed, n):
     assert np.linalg.eigvalsh(out).min() >= -1e-12
 
 
+def waterfill_reference(vals):
+    """Smolin, Gambetta & Smith's loop on ascending eigenvalues of any sum:
+    clip from the bottom while the spread deficit leaves one negative."""
+    lam = list(vals)
+    acc = 1.0 - sum(lam)
+    for i in range(len(lam)):
+        rem = len(lam) - i
+        if lam[i] + acc / rem < 0:
+            acc += lam[i]
+            lam[i] = 0.0
+        else:
+            lam[i:] = [v + acc / rem for v in lam[i:]]
+            break
+    return np.array(lam)
+
+
+@given(st.integers(0, 2**32 - 1), st.floats(-3.0, 3.0))
+@settings(max_examples=60, deadline=None)
+def test_project_matches_loop_waterfilling_at_any_trace(seed, trace):
+    rng = np.random.default_rng(seed)
+    h = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+    h = (h + h.conj().T) / 2
+    h += np.eye(4) * (trace - np.trace(h).real) / 4
+    vals, vecs = np.linalg.eigh(h)
+    ref = (vecs * waterfill_reference(vals)) @ vecs.conj().T
+    np.testing.assert_allclose(project_physical(h), ref, rtol=0, atol=1e-12)
+
+
 def test_project_rejects_non_hermitian():
     m = np.eye(4, dtype=complex)
     m[0, 1] = 1.0
@@ -242,6 +270,77 @@ def test_mle_gradient_matches_finite_differences():
 def test_mle_zero_counts_rejected():
     with pytest.raises(InsufficientDataError):
         mle_refine(np.eye(4) / 4, np.zeros(16), TSET)
+
+
+def mean_loglike(rho, counts):
+    """sum_k (n_k/N) log(p_k / sum_j p_j), the objective of mle_refine."""
+    p = forward_probabilities(rho, TSET)
+    seen = counts > 0
+    if np.any(p[seen] <= 0):
+        return -math.inf
+    return float(np.sum(counts[seen] * np.log(p[seen] / p.sum())) / counts.sum())
+
+
+def loglike_gradient(rho, counts):
+    """R = sum_k f_k P_k / p_k - S / tr(S rho), S = sum_k P_k, written out
+    from the 16 projectors."""
+    vs = TSET.projector_vectors()
+    projectors = np.einsum("ki,kj->kij", vs, vs.conj())
+    p = forward_probabilities(rho, TSET)
+    seen = counts > 0
+    w = counts[seen] / counts.sum() / p[seen]
+    return np.einsum("k,kij->ij", w, projectors[seen]) - projectors.sum(axis=0) / p.sum()
+
+
+def test_mle_satisfies_kkt_conditions():
+    # Poisson counts of pure and rank-2 states put most optima on the
+    # boundary (rank deficient); full-rank states give interior ones.  At a
+    # maximum over unit-trace PSD rho, R rho = 0 and R <= 0.  The stopping
+    # rule 2 ||rho^(1/2) R||_F < tol gives ||R rho||_F <= tol / 2 and bounds
+    # R on the range of rho by c = tol / (2 sqrt(mu_min)), mu_min the
+    # smallest nonzero eigenvalue, so lambda_max(R) <= 1.62 c where R <= 0
+    # on the null space of rho.  The bound 2 c below fails where R exceeds
+    # 2 c on that null space, i.e. where a direction rho leaves out ascends.
+    rng = np.random.default_rng(22)
+    ranks = [1, 1, 1, 2, 2, 2, 3, 4, 4]
+    states = [random_state(rng, r) for r in ranks]
+    hists = synthetic_histograms(lambda i, j: states[3 * i + j], 3, flux=5000.0)
+    for h in hists:
+        h.counts_theta = rng.poisson(h.counts_theta).astype(float)
+    tol = 1e-8
+    tomo = angular_tomography(hists, TSET, min_counts=200, mle=True, mle_tol=tol)
+    assert tomo.bins_used == 9 and tomo.mle_nonconverged == 0
+    stack = np.stack([h.counts_theta.ravel() for h in hists], axis=1)
+    deficient = 0
+    for r in tomo.results:
+        counts = stack[3 * r.bin_s + r.bin_i]
+        grad = loglike_gradient(r.rho, counts)
+        mu = np.linalg.eigvalsh(r.rho)
+        deficient += mu[0] < 1e-12
+        assert np.linalg.norm(grad @ r.rho) <= tol / 2
+        assert np.linalg.eigvalsh(grad)[-1] <= tol / math.sqrt(mu[mu > 1e-12].min())
+    assert deficient >= 6
+
+
+@given(st.integers(0, 2**32 - 1), st.sampled_from([1, 2, 4]),
+       st.sampled_from([300.0, 3000.0, 30000.0]))
+@settings(max_examples=40, deadline=None)
+def test_mle_likelihood_at_least_truth_and_start(seed, rank, flux):
+    # On the slice tr(S rho) = 1 the objective is concave, so the ascent
+    # ends at its maximum to within the stopping tolerance, and no state
+    # beats the maximum, the true one included.  The 1e-9 allows for the
+    # 1e-10 identity admixture in the ascent's start.
+    rng = np.random.default_rng(seed)
+    rho = random_state(rng, rank)
+    counts = rng.poisson(forward_probabilities(rho, TSET) * flux).astype(float)
+    try:
+        start = project_physical(linear_inversion(counts, TSET))
+    except InsufficientDataError:
+        return
+    out = mle_refine(start, counts, TSET, tol=1e-8)
+    best = mean_loglike(out, counts)
+    assert best >= mean_loglike(rho, counts) - 1e-9
+    assert best >= mean_loglike(start, counts) - 1e-9
 
 
 # ---------------------------------------------------------------------------
@@ -488,3 +587,31 @@ def test_angular_tomography_counts_mle_nonconvergence():
             np.testing.assert_allclose(r.rho, ref[r.bin_s, r.bin_i][0], rtol=0, atol=1e-12)
     linear = angular_tomography(hists, TSET, min_counts=200)
     assert linear.mle_nonconverged == 0
+
+
+def test_angular_tomography_mle_converges_on_near_pure_states():
+    # near-pure states at ~1e4 counts per bin: at the default mle_tol the
+    # per-bin Armijo ascent of earlier versions left 3 of these 16 bins
+    # unconverged
+    rng = np.random.default_rng(0)
+
+    def near_pure():
+        g = rng.normal(size=4) + 1j * rng.normal(size=4)
+        g /= np.linalg.norm(g)
+        return 0.98 * np.outer(g, g.conj()) + 0.02 * np.eye(4) / 4
+
+    states = [[near_pure() for _ in range(4)] for _ in range(4)]
+    hists = synthetic_histograms(lambda i, j: states[i][j], 4, flux=10_000, rng=rng)
+    tomo = angular_tomography(hists, TSET, min_counts=200, mle=True)
+    assert tomo.bins_used == 16
+    assert tomo.mle_nonconverged == 0
+    d = tomo.to_dict()
+    for r, b in zip(tomo.results, d["bins"]):
+        assert isinstance(r.mle_iterations, int) and r.mle_iterations >= 0
+        assert isinstance(r.mle_gradient_norm, float) and r.mle_gradient_norm < 1e-7
+        assert (b["mle_iterations"], b["mle_gradient_norm"]) == (
+            r.mle_iterations, r.mle_gradient_norm)
+    linear = angular_tomography(hists, TSET, min_counts=200)
+    assert all(r.mle_iterations is None and r.mle_gradient_norm is None
+               for r in linear.results)
+    assert linear.to_dict()["bins"][0]["mle_iterations"] is None
