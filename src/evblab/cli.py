@@ -168,8 +168,8 @@ def cmd_coincide(args) -> int:
             if hist.total_pairs:
                 hist.counts_r = hist.counts_r * max(0.0, 1.0 - acc / hist.total_pairs)
         bundle[label] = hist.to_dict()
-        print(f"{label}: {hist.total_pairs} pairs "
-              f"({hist.total_singles} singles, {hist.dropped_by_radius} beyond r_max)")
+        print(f"{label}: {hist.total_pairs} pairs ({hist.total_singles} singles, "
+              f"{hist.dropped_by_radius} beyond r_max, {result.n_contended} contended)")
     _writejson(out / "histograms.json", {
         "config": {
             "window_ns": args.window_ns,

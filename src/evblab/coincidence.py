@@ -1,10 +1,12 @@
 """Temporal coincidence finding and polar-coordinate correlation histograms.
 
 Event streams are numpy structured arrays in the on-disk record layout (see
-:mod:`evblab.eventsim`).  Matching is a two-pointer sweep over the
-time-sorted signal/idler sub-streams; the single-match policy pairs each
-signal greedily with its nearest-in-time unused idler (ties to the earlier
-idler), processing signals in time order.
+:mod:`evblab.eventsim`).  Each signal's candidate idlers are the index range
+``[lo, hi)`` that ``searchsorted`` finds in the time-sorted idler sub-stream.
+The single-match policy pairs each signal greedily with its nearest-in-time
+unused idler (ties to the earlier idler), processing signals in time order;
+only signals whose ranges overlap another's go through a sequential loop.
+Polar binning evaluates ``(r, theta)`` once per pixel and gathers by pixel.
 """
 
 from __future__ import annotations
@@ -130,7 +132,12 @@ class CoincidenceHistogram:
 
 @dataclass
 class MatchResult:
-    """Matched pairs (parallel signal/idler record arrays) plus bookkeeping."""
+    """Matched pairs (parallel signal/idler record arrays) plus bookkeeping.
+
+    n_contended counts the signals that greedy matching resolved in its
+    sequential loop, those whose window overlaps another signal's (0 for
+    multi-matching).
+    """
 
     signal: np.ndarray
     idler: np.ndarray
@@ -138,6 +145,7 @@ class MatchResult:
     n_idler_events: int
     skipped_outside_roi: int
     total_events: int
+    n_contended: int = 0
 
     @property
     def n_pairs(self) -> int:
@@ -163,40 +171,101 @@ def _split_rois(events: np.ndarray, geometry):
     return t, geometry.roi_signal.contains(x, y), geometry.roi_idler.contains(x, y)
 
 
+def _window_bounds(ts: np.ndarray, ti: np.ndarray, window: float):
+    """Per signal, the ``[lo, hi)`` range of idlers with |t_i - t_s| <= window.
+
+    Times are int64 ns, so the bound is floor(window) in integers: exact at
+    any time, and without a float copy of either stream.  The cap keeps
+    t +- bound inside int64 for times below 2**62 ns (146 years).
+    """
+    bound = math.floor(min(window, 2**62))
+    lo = np.searchsorted(ti, ts - bound, side="left")
+    hi = np.searchsorted(ti, ts + bound, side="right")
+    return lo, hi
+
+
 def _match_multi(ts: np.ndarray, ti: np.ndarray, window: float):
-    lo = np.searchsorted(ti, ts - window, side="left")
-    hi = np.searchsorted(ti, ts + window, side="right")
+    lo, hi = _window_bounds(ts, ti, window)
     counts = hi - lo
     total = int(counts.sum())
     if total == 0:
-        return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
+        return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64), 0
     sig_idx = np.repeat(np.arange(len(ts)), counts)
     starts = np.repeat(lo, counts)
     offsets = np.arange(total) - np.repeat(np.cumsum(counts) - counts, counts)
-    return sig_idx, starts + offsets
+    return sig_idx, starts + offsets, 0
 
 
-def _match_greedy(ts: np.ndarray, ti: np.ndarray, window: float):
-    lo = np.searchsorted(ti, ts - window, side="left").tolist()
-    hi = np.searchsorted(ti, ts + window, side="right").tolist()
-    ts_l = ts.tolist()
-    ti_l = ti.tolist()
-    used = bytearray(len(ti_l))
+def _nearest_in_window(t, ti, lo, hi):
+    """Nearest idler to each time t inside its nonempty range [lo, hi),
+    the earliest one on a tie."""
+    best = lo.copy()
+    wide = np.flatnonzero(hi - lo > 1)
+    t, lo, hi = t[wide], lo[wide], hi[wide]
+    p = np.searchsorted(ti, t, side="left")  # first idler at or after t
+    below = np.maximum(p - 1, 0)
+    above = np.minimum(p, len(ti) - 1)
+    take_below = (p > lo) & ((p >= hi) | (t - ti[below] <= ti[above] - t))
+    # the earliest of equal-time idlers below t (the one at p is its value's first)
+    p[take_below] = np.searchsorted(ti, ti[below[take_below]], side="left")
+    best[wide] = p
+    return best
+
+
+def _greedy_loop(ts, ti, lo, hi):
+    """Signals in order, each to its nearest unused idler in [lo, hi), ties
+    to the earlier idler.  Lists in, (signal, idler) index lists out."""
+    used = bytearray(len(ti))
     out_s, out_i = [], []
-    for k, t in enumerate(ts_l):
+    for k, t in enumerate(ts):
         best = -1
         best_d = 0
         for j in range(lo[k], hi[k]):
             if used[j]:
                 continue
-            d = abs(ti_l[j] - t)
+            d = abs(ti[j] - t)
             if best < 0 or d < best_d:
                 best, best_d = j, d
         if best >= 0:
             used[best] = 1
             out_s.append(k)
             out_i.append(best)
-    return np.asarray(out_s, dtype=np.int64), np.asarray(out_i, dtype=np.int64)
+    return out_s, out_i
+
+
+def _match_greedy(ts: np.ndarray, ti: np.ndarray, window: float):
+    """Greedy one-to-one matching, plus the number of signals it resolved in
+    the sequential loop.
+
+    Windows are monotone in signal time, so the signals with a candidate
+    split into clusters where consecutive ranges overlap, and clusters share
+    no idler.  A signal alone in its cluster takes its nearest idler; the
+    loop runs only over multi-signal clusters and their idlers.
+    """
+    lo, hi = _window_bounds(ts, ti, window)
+    k = np.flatnonzero(hi > lo)
+    lo, hi = lo[k], hi[k]
+    first = np.ones(len(k), dtype=bool)
+    first[1:] = lo[1:] >= hi[:-1]
+    last = np.ones(len(k), dtype=bool)
+    last[:-1] = first[1:]
+    alone = first & last
+    match = np.full(len(ts), -1, dtype=np.int64)
+    match[k[alone]] = _nearest_in_window(ts[k[alone]], ti, lo[alone], hi[alone])
+
+    busy = ~alone
+    k, lo, hi, first, last = k[busy], lo[busy], hi[busy], first[busy], last[busy]
+    # The loop sees each cluster's idlers, [lo of its first signal, hi of its
+    # last), laid end to end; offset maps a loop index back to the stream.
+    span = hi[last] - lo[first]
+    offset = lo[first] - (np.cumsum(span) - span)
+    cand = np.repeat(offset, span) + np.arange(span.sum())
+    offset_k = offset[np.cumsum(first) - 1]
+    out_s, out_i = _greedy_loop(ts[k].tolist(), ti[cand].tolist(),
+                                (lo - offset_k).tolist(), (hi - offset_k).tolist())
+    match[k[np.asarray(out_s, dtype=np.int64)]] = cand[np.asarray(out_i, dtype=np.int64)]
+    sig = np.flatnonzero(match >= 0)
+    return sig, match[sig], len(k)
 
 
 def find_coincidences(events: np.ndarray, geometry, config: CoincidenceConfig) -> MatchResult:
@@ -207,16 +276,16 @@ def find_coincidences(events: np.ndarray, geometry, config: CoincidenceConfig) -
     """
     t, in_s, in_i = _split_rois(events, geometry)
     match = _match_multi if config.allow_multi_match else _match_greedy
-    sidx, iidx = match(t[in_s], t[in_i], config.window)
-    sig = events[in_s]
-    idl = events[in_i]
+    sidx, iidx, n_contended = match(t[in_s], t[in_i], config.window)
+    rows_s, rows_i = np.flatnonzero(in_s), np.flatnonzero(in_i)
     return MatchResult(
-        signal=sig[sidx],
-        idler=idl[iidx],
-        n_signal_events=len(sig),
-        n_idler_events=len(idl),
-        skipped_outside_roi=int(len(events) - in_s.sum() - in_i.sum()),
+        signal=events[rows_s[sidx]],
+        idler=events[rows_i[iidx]],
+        n_signal_events=len(rows_s),
+        n_idler_events=len(rows_i),
+        skipped_outside_roi=len(events) - len(rows_s) - len(rows_i),
         total_events=len(events),
+        n_contended=n_contended,
     )
 
 
@@ -231,8 +300,8 @@ def accidental_estimate(events: np.ndarray, geometry, config: CoincidenceConfig,
         raise ValueError("offset must be well outside the coincidence window")
     t, in_s, in_i = _split_rois(events, geometry)
     match = _match_multi if config.allow_multi_match else _match_greedy
-    a, _ = match(t[in_s], t[in_i] + int(round(offset)), config.window)
-    return len(a)
+    sidx, _, _ = match(t[in_s], t[in_i] + int(round(offset)), config.window)
+    return len(sidx)
 
 
 # ---------------------------------------------------------------------------
@@ -263,9 +332,7 @@ def pooled_centroids(event_arrays, geometry):
     return tuple(out)
 
 
-def _polar_bins(x, y, centroid, binning: PolarBinning):
-    dx = x.astype(float) - centroid[0]
-    dy = y.astype(float) - centroid[1]
+def _polar_formula(dx, dy, binning: PolarBinning):
     r = np.hypot(dx, dy)
     theta = np.mod(np.arctan2(dy, dx), 2.0 * math.pi)
     tbin = np.minimum(
@@ -274,6 +341,26 @@ def _polar_bins(x, y, centroid, binning: PolarBinning):
     )
     rbin = np.minimum((r / binning.r_max * binning.n_r).astype(np.int64), binning.n_r - 1)
     return r, rbin, tbin
+
+
+def _polar_bins(x, y, centroid, binning: PolarBinning):
+    """(r, r-bin, theta-bin) of each photon at pixel (x, y) about the centroid.
+
+    Photons sit on the pixel lattice, so the formula runs once per pixel of
+    their bounding box, and each photon gathers its pixel's entry; where the
+    box holds more pixels than there are photons, it runs on the photons.
+    """
+    if len(x):
+        x0, y0 = int(x.min()), int(y.min())
+        width = int(x.max()) - x0 + 1
+        n_pixels = width * (int(y.max()) - y0 + 1)
+        if n_pixels <= len(x):
+            gy, gx = np.divmod(np.arange(n_pixels), width)
+            table = _polar_formula((gx + x0).astype(float) - centroid[0],
+                                   (gy + y0).astype(float) - centroid[1], binning)
+            pixel = (y.astype(np.intp) - y0) * width + (x.astype(np.intp) - x0)
+            return tuple(col[pixel] for col in table)
+    return _polar_formula(x.astype(float) - centroid[0], y.astype(float) - centroid[1], binning)
 
 
 def bin_polar(result: MatchResult, binning: PolarBinning, setting: str = "") -> CoincidenceHistogram:

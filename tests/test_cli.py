@@ -6,6 +6,8 @@ import numpy as np
 import pytest
 
 from evblab.cli import main
+from evblab.coincidence import CoincidenceConfig, find_coincidences
+from evblab.eventsim import RunManifest, read_events
 from evblab.gridio import read_csv_matrix
 from evblab.polarimetry import standard_set
 
@@ -84,7 +86,7 @@ def small_run(tmp_path_factory):
     return run_dir
 
 
-def test_coincide_outputs(small_run, tmp_path):
+def test_coincide_outputs(small_run, tmp_path, capsys):
     out = tmp_path / "coinc"
     rc = main(["coincide", "--in", str(small_run), "--out", str(out),
                "--ntheta", "8", "--nr", "4"])
@@ -95,6 +97,13 @@ def test_coincide_outputs(small_run, tmp_path):
     assert np.array(hh["counts_theta"]).shape == (8, 8)
     # the bundle is the only histogram output; tomo reads nothing else
     assert not list(out.glob("hist_*.json"))
+    # the contended count goes to the summary lines, not into the bundle
+    manifest = RunManifest.from_json((small_run / "manifest.json").read_text())
+    events = read_events(small_run / manifest.settings["HH"])
+    n = find_coincidences(events, manifest.geometry, CoincidenceConfig()).n_contended
+    line = next(ln for ln in capsys.readouterr().out.splitlines() if ln.startswith("HH:"))
+    assert line.endswith(f" beyond r_max, {n} contended)")
+    assert "contended" not in (out / "histograms.json").read_text()
 
 
 def test_coincide_rejects_corrupt_magic(small_run, tmp_path):

@@ -2,9 +2,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from evblab import coincidence
 from evblab.coincidence import (
     CoincidenceConfig,
+    MatchResult,
     PixelPairHistogram,
     PolarBinning,
     accidental_estimate,
@@ -60,6 +63,33 @@ def brute_force_pairs(ts, ti, window, multi):
     return out
 
 
+def greedy_reference(ts, ti, window):
+    """Greedy matching as one loop over every signal, the reference for the
+    clustered matcher: signals in time order, each to its nearest unused
+    idler in the window, ties to the earlier idler.  Returns (signal, idler)
+    index lists."""
+    lo = np.searchsorted(ti, ts - window, side="left").tolist()
+    hi = np.searchsorted(ti, ts + window, side="right").tolist()
+    ts_l = ts.tolist()
+    ti_l = ti.tolist()
+    used = bytearray(len(ti_l))
+    out_s, out_i = [], []
+    for k, t in enumerate(ts_l):
+        best = -1
+        best_d = 0
+        for j in range(lo[k], hi[k]):
+            if used[j]:
+                continue
+            d = abs(ti_l[j] - t)
+            if best < 0 or d < best_d:
+                best, best_d = j, d
+        if best >= 0:
+            used[best] = 1
+            out_s.append(k)
+            out_i.append(best)
+    return out_s, out_i
+
+
 def random_stream(rng, n_max=2000):
     n_s = int(rng.integers(0, n_max // 2))
     n_i = int(rng.integers(0, n_max // 2))
@@ -75,6 +105,19 @@ def run_matcher(ts, ti, window, multi):
     # map back to per-stream indices via times (times may repeat; compare as
     # sorted multisets of time pairs)
     return sorted(zip(res.signal["t"].tolist(), res.idler["t"].tolist()))
+
+
+def matched_indices(ts, ti, window, multi):
+    """find_coincidences' pairs as (signal, idler) indices into ts and ti;
+    each event carries its index in its own stream in the tot field."""
+    ev = np.zeros(len(ts) + len(ti), dtype=EVENT_DTYPE)
+    ev["x"], ev["y"] = 29, 29
+    ev["x"][len(ts):] = 97
+    ev["t"] = np.concatenate([ts, ti])
+    ev["tot"] = np.concatenate([np.arange(len(ts)), np.arange(len(ti))])
+    ev = ev[np.argsort(ev["t"], kind="stable")]
+    res = find_coincidences(ev, GEO, CoincidenceConfig(window=window, allow_multi_match=multi))
+    return res.signal["tot"].tolist(), res.idler["tot"].tolist()
 
 
 def oracle_pairs_as_times(ts, ti, window, multi):
@@ -127,10 +170,10 @@ def test_outside_roi_counted_and_skipped():
     assert res.n_pairs == 1
 
 
-@pytest.mark.parametrize("window", [1, 10, 100])
+@pytest.mark.parametrize("window", [0.5, 1, 2.5, 10, 100])
 @pytest.mark.parametrize("multi", [False, True])
 def test_matches_brute_force_on_random_streams(window, multi):
-    rng = np.random.default_rng(1000 + window + multi)
+    rng = np.random.default_rng(int(1000 + window + multi))
     for _ in range(30):
         ts, ti = random_stream(rng)
         got = run_matcher(ts, ti, window, multi)
@@ -138,8 +181,139 @@ def test_matches_brute_force_on_random_streams(window, multi):
         assert got == want
 
 
+dense_times = st.lists(st.integers(0, 60), max_size=40).map(sorted)
+
+
+@given(ts=dense_times, ti=dense_times, window=st.sampled_from([0.5, 1, 2.5, 10]))
+@settings(max_examples=300, deadline=None)
+def test_match_indices_equal_references_on_dense_streams(ts, ti, window):
+    # dense streams with repeated times: most signals compete for idlers
+    ts, ti = np.array(ts, dtype=np.int64), np.array(ti, dtype=np.int64)
+    assert matched_indices(ts, ti, window, multi=False) == greedy_reference(ts, ti, window)
+    want = brute_force_pairs(ts, ti, window, multi=True)
+    assert list(zip(*matched_indices(ts, ti, window, multi=True))) == want
+    offset = 10 * math.ceil(window)
+    ev = make_events(ts, ti)
+    for multi in (False, True):
+        cfg = CoincidenceConfig(window=window, allow_multi_match=multi)
+        want = brute_force_pairs(ts, ti + offset, window, multi)
+        assert accidental_estimate(ev, GEO, cfg, offset=offset) == len(want)
+
+
+@pytest.mark.parametrize("base", [1000, 2**60 + 1])
+@pytest.mark.parametrize("window", [1, 2.5, 10])
+@pytest.mark.parametrize("multi", [False, True])
+def test_window_bound_is_inclusive_and_exact(base, window, multi):
+    # |dt| == floor(window) pairs, one ns more does not, also where float64
+    # can no longer tell neighbouring ns apart (above 2**53)
+    edge = math.floor(window)
+    for dt in (edge, -edge):
+        assert run_matcher([base], [base + dt], window, multi) == [(base, base + dt)]
+    for dt in (edge + 1, -edge - 1):
+        assert run_matcher([base], [base + dt], window, multi) == []
+
+
+def test_contended_signals_counted():
+    cfg = CoincidenceConfig(window=10)
+    # 100 and 102 share idler 101's window; 500 competes with nobody
+    res = find_coincidences(make_events([100, 102, 500], [101, 104, 505]), GEO, cfg)
+    assert res.n_pairs == 3
+    assert res.n_contended == 2
+    lone = find_coincidences(make_events([100, 500], [101, 505]), GEO, cfg)
+    assert lone.n_contended == 0
+    multi = CoincidenceConfig(window=10, allow_multi_match=True)
+    assert find_coincidences(make_events([100, 102], [101]), GEO, multi).n_contended == 0
+
+
 # ---------------------------------------------------------------------------
 # Polar binning
+
+def polar_reference(x, y, centroid, binning):
+    """The direct per-photon formula: (r, r-bin, theta-bin)."""
+    dx = x.astype(float) - centroid[0]
+    dy = y.astype(float) - centroid[1]
+    r = np.hypot(dx, dy)
+    theta = np.mod(np.arctan2(dy, dx), 2.0 * math.pi)
+    tbin = np.minimum((theta / (2.0 * math.pi) * binning.n_theta).astype(np.int64),
+                      binning.n_theta - 1)
+    rbin = np.minimum((r / binning.r_max * binning.n_r).astype(np.int64), binning.n_r - 1)
+    return r, rbin, tbin
+
+
+def pairs_at(xy_s, xy_i):
+    """MatchResult of photon pairs at the given signal and idler pixels."""
+    sig = np.zeros(len(xy_s), dtype=EVENT_DTYPE)
+    idl = np.zeros(len(xy_i), dtype=EVENT_DTYPE)
+    sig["x"], sig["y"] = np.asarray(xy_s).T
+    idl["x"], idl["y"] = np.asarray(xy_i).T
+    return MatchResult(sig, idl, len(sig), len(idl), 0, len(sig) + len(idl))
+
+
+def assert_bins_match_formula(result, binning):
+    n = binning.n_r * binning.n_theta
+    got = bin_polar(result, binning, "HV")
+    r_s, rb_s, tb_s = polar_reference(result.signal["x"], result.signal["y"],
+                                      binning.centroid_s, binning)
+    r_i, rb_i, tb_i = polar_reference(result.idler["x"], result.idler["y"],
+                                      binning.centroid_i, binning)
+    keep = (r_s <= binning.r_max) & (r_i <= binning.r_max)
+    fs, fi = (rb_s * binning.n_theta + tb_s)[keep], (rb_i * binning.n_theta + tb_i)[keep]
+    assert np.array_equal(got.counts_full, np.bincount(fs * n + fi, minlength=n * n).reshape(n, n))
+    assert np.array_equal(got.counts_theta.ravel(), np.bincount(
+        tb_s[keep] * binning.n_theta + tb_i[keep], minlength=binning.n_theta**2))
+    assert np.array_equal(got.counts_r.ravel(), np.bincount(
+        rb_s[keep] * binning.n_r + rb_i[keep], minlength=binning.n_r**2))
+    assert got.dropped_by_radius == int(len(keep) - keep.sum())
+    for photons, centroid in ((result.signal, binning.centroid_s),
+                              (result.idler, binning.centroid_i)):
+        got_cols = coincidence._polar_bins(photons["x"], photons["y"], centroid, binning)
+        for g, w in zip(got_cols, polar_reference(photons["x"], photons["y"], centroid, binning)):
+            assert np.array_equal(g, w)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_bin_polar_equals_formula_on_random_lattice_pairs(seed):
+    rng = np.random.default_rng(seed)
+    n = 5000
+    xy_s = rng.integers(10, 50, (n, 2))
+    xy_i = np.column_stack([rng.integers(78, 118, n), rng.integers(10, 50, n)])
+    centroid_s = tuple(rng.uniform(25, 35, 2))
+    centroid_i = tuple(rng.uniform(92, 102, 2))
+    for n_theta, n_r, r_max in ((16, 5, 20.0), (40, 3, 12.5), (7, 1, 100.0)):
+        binning = PolarBinning(n_theta=n_theta, n_r=n_r, r_max=r_max, store_full=True,
+                               centroid_s=centroid_s, centroid_i=centroid_i)
+        assert_bins_match_formula(pairs_at(xy_s, xy_i), binning)
+
+
+def test_bin_polar_equals_formula_on_bin_edges_and_r_max():
+    # integer centroids: pixels on the axes and diagonals sit on theta-bin
+    # edges for n_theta 8 and 16; (3, 4), (0, 5) and (5, 0) sit on r_max = 5
+    offsets = [(dx, dy) for dx in range(-6, 7) for dy in range(-6, 7)]
+    xy_s = [(30 + dx, 30 + dy) for dx, dy in offsets]
+    xy_i = [(98 + dy, 30 + dx) for dx, dy in offsets]
+    for n_theta in (8, 16):
+        binning = PolarBinning(n_theta=n_theta, n_r=5, r_max=5.0, store_full=True,
+                               centroid_s=(30.0, 30.0), centroid_i=(98.0, 30.0))
+        assert_bins_match_formula(pairs_at(xy_s, xy_i), binning)
+
+
+def test_bin_polar_far_apart_pairs_use_formula_per_photon(monkeypatch):
+    # two photons per ROI, 60000 px apart: the bounding box holds 3.6e9
+    # pixels, so the formula must run on the photons, not on a pixel table
+    sizes = []
+    formula = coincidence._polar_formula
+
+    def spy(dx, dy, binning):
+        sizes.append(len(dx))
+        return formula(dx, dy, binning)
+
+    monkeypatch.setattr(coincidence, "_polar_formula", spy)
+    result = pairs_at([(0, 0), (60000, 60000)], [(1, 60000), (60000, 1)])
+    binning = PolarBinning(n_theta=16, n_r=5, r_max=1e5, store_full=True,
+                           centroid_s=(30000.0, 30000.0), centroid_i=(30000.0, 30000.0))
+    assert_bins_match_formula(result, binning)
+    assert max(sizes) == 2
+
 
 def test_bin_polar_example_bins():
     # theta_s ~ 0.1 -> bin 0; theta_i ~ 3.2 -> bin floor(3.2 / (2 pi / 16)) = 8
