@@ -24,6 +24,7 @@ from .coincidence import (
     bin_polar,
     find_coincidences,
     pooled_centroids,
+    split_rois,
 )
 from .errors import ConfigurationError, FormatError
 from .eventsim import (
@@ -155,11 +156,11 @@ def cmd_coincide(args) -> int:
     )
     bundle = {}
     for label, path in paths.items():
-        ev = read_events(path)
-        result = find_coincidences(ev, manifest.geometry, config)
+        streams = split_rois(read_events(path), manifest.geometry)
+        result = find_coincidences(streams, manifest.geometry, config)
         hist = bin_polar(result, binning, label)
         if args.subtract_accidentals:
-            acc = accidental_estimate(ev, manifest.geometry, config,
+            acc = accidental_estimate(streams, manifest.geometry, config,
                                       offset=1000 * config.window)
             # Accidentals are uniform over the angular grid (both singles
             # marginals are ring-symmetric); the radial map is scaled instead.

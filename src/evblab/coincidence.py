@@ -12,6 +12,7 @@ Polar binning evaluates ``(r, theta)`` once per pixel and gathers by pixel.
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from dataclasses import dataclass
 
 import numpy as np
@@ -159,16 +160,21 @@ class MatchResult:
 # ---------------------------------------------------------------------------
 # Matching
 
-def _split_rois(events: np.ndarray, geometry):
-    """Event times as int64 plus the signal-ROI and idler-ROI masks.
+# One setting's time-sorted records split by ROI: the int64 times and the
+# record rows of the signal-ROI and of the idler-ROI events.
+RoiStreams = namedtuple("RoiStreams", "events t_s t_i rows_s rows_i")
 
-    Rejects a stream that is not sorted by time.
-    """
+
+def split_rois(events: np.ndarray, geometry) -> RoiStreams:
+    """Split a stream by ROI, rejecting one that is not sorted by time; the
+    matching functions take the split in place of the records."""
     t = events["t"].astype(np.int64)
     if len(t) > 1 and np.any(np.diff(t) < 0):
         raise FormatError("event stream is not sorted by time")
     x, y = events["x"], events["y"]
-    return t, geometry.roi_signal.contains(x, y), geometry.roi_idler.contains(x, y)
+    rows_s = np.flatnonzero(geometry.roi_signal.contains(x, y))
+    rows_i = np.flatnonzero(geometry.roi_idler.contains(x, y))
+    return RoiStreams(events, t[rows_s], t[rows_i], rows_s, rows_i)
 
 
 def _window_bounds(ts: np.ndarray, ti: np.ndarray, window: float):
@@ -268,39 +274,39 @@ def _match_greedy(ts: np.ndarray, ti: np.ndarray, window: float):
     return sig, match[sig], len(k)
 
 
-def find_coincidences(events: np.ndarray, geometry, config: CoincidenceConfig) -> MatchResult:
+def find_coincidences(events, geometry, config: CoincidenceConfig) -> MatchResult:
     """Pair up signal-ROI and idler-ROI detections within the time window.
 
-    The stream must be sorted by time (rejected otherwise).  Events outside
-    both ROIs are counted and skipped.
+    ``events`` is a time-sorted record array (rejected otherwise) or its
+    :func:`split_rois`.  Events outside both ROIs are counted and skipped.
     """
-    t, in_s, in_i = _split_rois(events, geometry)
+    s = events if isinstance(events, RoiStreams) else split_rois(events, geometry)
     match = _match_multi if config.allow_multi_match else _match_greedy
-    sidx, iidx, n_contended = match(t[in_s], t[in_i], config.window)
-    rows_s, rows_i = np.flatnonzero(in_s), np.flatnonzero(in_i)
+    sidx, iidx, n_contended = match(s.t_s, s.t_i, config.window)
     return MatchResult(
-        signal=events[rows_s[sidx]],
-        idler=events[rows_i[iidx]],
-        n_signal_events=len(rows_s),
-        n_idler_events=len(rows_i),
-        skipped_outside_roi=len(events) - len(rows_s) - len(rows_i),
-        total_events=len(events),
+        signal=s.events[s.rows_s[sidx]],
+        idler=s.events[s.rows_i[iidx]],
+        n_signal_events=len(s.rows_s),
+        n_idler_events=len(s.rows_i),
+        skipped_outside_roi=len(s.events) - len(s.rows_s) - len(s.rows_i),
+        total_events=len(s.events),
         n_contended=n_contended,
     )
 
 
-def accidental_estimate(events: np.ndarray, geometry, config: CoincidenceConfig,
+def accidental_estimate(events, geometry, config: CoincidenceConfig,
                         offset: float) -> int:
     """Coincidence count after shifting idler times by ``offset`` ns.
 
     Estimates the accidental (uncorrelated) pair rate; the offset must be
     large compared to the window so no true pair survives the shift.
+    ``events`` is a record array or its :func:`split_rois`.
     """
     if not offset >= 10 * config.window:
         raise ValueError("offset must be well outside the coincidence window")
-    t, in_s, in_i = _split_rois(events, geometry)
+    s = events if isinstance(events, RoiStreams) else split_rois(events, geometry)
     match = _match_multi if config.allow_multi_match else _match_greedy
-    sidx, _, _ = match(t[in_s], t[in_i] + int(round(offset)), config.window)
+    sidx, _, _ = match(s.t_s, s.t_i + int(round(offset)), config.window)
     return len(sidx)
 
 
@@ -314,21 +320,26 @@ def pooled_centroids(event_arrays, geometry):
     lattice, so bins of events sit exactly on angular bin edges, and
     per-setting centroid jitter would flip those edge pixels inconsistently
     between settings, corrupting the per-bin tomography counts.
+
+    One ``bincount`` per array gives the run's image; records off the camera
+    land in an extra row and column that no ROI covers.
     """
-    sums = np.zeros((2, 2))
-    counts = np.zeros(2)
+    w, h = geometry.width, geometry.height
+    image = np.zeros((h + 1) * (w + 1), dtype=np.int64)
     for events in event_arrays:
-        for j, roi in enumerate((geometry.roi_signal, geometry.roi_idler)):
-            m = roi.contains(events["x"], events["y"])
-            sums[j, 0] += events["x"][m].sum()
-            sums[j, 1] += events["y"][m].sum()
-            counts[j] += m.sum()
+        x = np.minimum(events["x"], w).astype(np.intp)
+        y = np.minimum(events["y"], h).astype(np.intp)
+        image += np.bincount(y * (w + 1) + x, minlength=len(image))
+    image = image.reshape(h + 1, w + 1)
     out = []
-    for j, roi in enumerate((geometry.roi_signal, geometry.roi_idler)):
-        if counts[j] == 0:
+    for roi in (geometry.roi_signal, geometry.roi_idler):
+        sub = image[roi.y0:roi.y0 + roi.height, roi.x0:roi.x0 + roi.width]
+        n = sub.sum()
+        if n == 0:
             out.append(roi.center())
         else:
-            out.append((sums[j, 0] / counts[j], sums[j, 1] / counts[j]))
+            out.append((sub.sum(axis=0) @ np.arange(roi.x0, roi.x0 + roi.width) / n,
+                        sub.sum(axis=1) @ np.arange(roi.y0, roi.y0 + roi.height) / n))
     return tuple(out)
 
 

@@ -10,7 +10,9 @@ source flux.  A pair passes the setting's analyzer pair with its physical
 probability (computed analytically from the state), so the relative rates
 between the 16 settings carry the tomographic information; transverse
 positions of passing pairs are drawn from the normalized conditional
-density by exact rejection sampling with a gamma-radial envelope.
+density by exact rejection sampling with a gamma-radial envelope, at accept
+ratio (1 + X/P) / envelope: P is the density's diagonal part, X its
+interference terms.  One sort of unique time-above-index keys orders records.
 """
 
 from __future__ import annotations
@@ -18,11 +20,12 @@ from __future__ import annotations
 import json
 import math
 import os
-from dataclasses import dataclass
+from dataclasses import asdict, astuple, dataclass
 
 import numpy as np
 
-from .errors import FormatError, SamplingError
+from .errors import ConfigurationError, FormatError, SamplingError
+from .lgmodes import radial_amplitudes
 from .qplate_state import _SECTOR_INDEX, ModeSuperposition, QPlateParams, evb_state
 from .polarimetry import (
     MeasurementSetting,
@@ -118,29 +121,16 @@ class CameraGeometry:
             object.__setattr__(self, "centroid_i", self.roi_idler.center())
 
     def to_dict(self) -> dict:
-        return {
-            "width": self.width,
-            "height": self.height,
-            "roi_signal": [self.roi_signal.x0, self.roi_signal.y0,
-                           self.roi_signal.width, self.roi_signal.height],
-            "roi_idler": [self.roi_idler.x0, self.roi_idler.y0,
-                          self.roi_idler.width, self.roi_idler.height],
-            "centroid_s": list(self.centroid_s),
-            "centroid_i": list(self.centroid_i),
-            "waist_px": self.waist_px,
-        }
+        """Fields as JSON-ready values, each ROI as [x0, y0, width, height]."""
+        return {**asdict(self), "roi_signal": astuple(self.roi_signal),
+                "roi_idler": astuple(self.roi_idler)}
 
     @classmethod
     def from_dict(cls, d: dict) -> "CameraGeometry":
-        return cls(
-            width=d["width"],
-            height=d["height"],
-            roi_signal=Rect(*d["roi_signal"]),
-            roi_idler=Rect(*d["roi_idler"]),
-            centroid_s=tuple(d["centroid_s"]),
-            centroid_i=tuple(d["centroid_i"]),
-            waist_px=d["waist_px"],
-        )
+        return cls(width=d["width"], height=d["height"],
+                   roi_signal=Rect(*d["roi_signal"]), roi_idler=Rect(*d["roi_idler"]),
+                   centroid_s=tuple(d["centroid_s"]), centroid_i=tuple(d["centroid_i"]),
+                   waist_px=d["waist_px"])
 
 
 @dataclass(frozen=True)
@@ -169,12 +159,7 @@ class NoiseModel:
             raise ValueError("werner_p must be in [0, 1]")
 
     def to_dict(self) -> dict:
-        return {
-            "efficiency": self.efficiency,
-            "dark_rate": self.dark_rate,
-            "jitter_sigma": self.jitter_sigma,
-            "werner_p": self.werner_p,
-        }
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, d: dict) -> "NoiseModel":
@@ -215,26 +200,18 @@ class RunManifest:
             "duration": self.duration,
             "noise": self.noise.to_dict(),
             "rng_seed": self.rng_seed,
-            "qplate_s": {"q": self.qplate_s.q, "delta": self.qplate_s.delta,
-                         "waist": self.qplate_s.waist},
-            "qplate_i": {"q": self.qplate_i.q, "delta": self.qplate_i.delta,
-                         "waist": self.qplate_i.waist},
+            "qplate_s": asdict(self.qplate_s),
+            "qplate_i": asdict(self.qplate_i),
         }
         return json.dumps(d, indent=2, sort_keys=True)
 
     @classmethod
     def from_json(cls, text: str) -> "RunManifest":
         d = json.loads(text)
-        return cls(
-            geometry=CameraGeometry.from_dict(d["geometry"]),
-            settings=dict(d["settings"]),
-            pair_rate=d["pair_rate"],
-            duration=d["duration"],
-            noise=NoiseModel.from_dict(d["noise"]),
-            rng_seed=d["rng_seed"],
-            qplate_s=QPlateParams(**d["qplate_s"]),
-            qplate_i=QPlateParams(**d["qplate_i"]),
-        )
+        return cls(geometry=CameraGeometry.from_dict(d["geometry"]), settings=dict(d["settings"]),
+                   pair_rate=d["pair_rate"], duration=d["duration"],
+                   noise=NoiseModel.from_dict(d["noise"]), rng_seed=d["rng_seed"],
+                   qplate_s=QPlateParams(**d["qplate_s"]), qplate_i=QPlateParams(**d["qplate_i"]))
 
 
 def default_manifest(qplate_s: QPlateParams, qplate_i: QPlateParams,
@@ -298,10 +275,14 @@ class PairPositionSampler:
 
     The target density is sum over coherence groups g of
     |sum_{k in g} c_k phi_k(x)|^2 * r_s * r_i, with phi_k the product of the
-    two normalized transverse modes of term k.  The proposal draws a term
-    with probability |c_k|^2 / W, radii from the exact per-mode radial law
-    (gamma in r^2), and uniform angles; Cauchy-Schwarz bounds the target by
-    max-group-size * W * proposal, giving an exact accept probability.
+    two normalized transverse modes of term k, of radial part R_k.  The
+    proposal draws a term with probability |c_k|^2 / W, radii from the exact
+    per-mode radial law (gamma in r^2), and uniform angles: W times its
+    density is the target's diagonal part P = sum_k |c_k|^2 R_k^2.  The rest
+    is X = 2 sum_{k<l in one group} |c_k c_l| R_k R_l cos(dl_s theta_s +
+    dl_i theta_i + arg c_k c_l*).  Cauchy-Schwarz bounds the target by
+    envelope * P (the largest group size), so the exact accept ratio is
+    (1 + X/P) / envelope, the constant 1/envelope when no group has a pair.
     """
 
     def __init__(self, coeffs, ell_s, ell_i, groups, waist_s, waist_i):
@@ -319,46 +300,39 @@ class PairPositionSampler:
         keys = zip(self.groups.tolist(), self.ell_s.tolist(), self.ell_i.tolist())
         if _coherent_mass(self.coeffs, keys) < 1e-28:
             raise ValueError("density is identically zero for this projection")
-        self.waist_s = waist_s
-        self.waist_i = waist_i
+        self.waist_s, self.waist_i = waist_s, waist_i
         self.weights = np.abs(self.coeffs) ** 2
-        self.total_weight = self.weights.sum()
         _, counts = np.unique(self.groups, return_counts=True)
         self.envelope = int(counts.max())
-        self._probs = self.weights / self.total_weight
-        self._group_ids = np.unique(self.groups)
+        self._probs = self.weights / self.weights.sum()
+        # radial rows, one per distinct |l| and arm, and the interference pairs
+        self._abs_s, self._row_s = np.unique(np.abs(self.ell_s), return_inverse=True)
+        self._abs_i, self._row_i = np.unique(np.abs(self.ell_i), return_inverse=True)
+        # k < l of one group as (k, l, dl_s, dl_i, 2|z|, arg z), z = c_k c_l*
+        k, l = np.triu_indices(len(self.coeffs), 1)
+        same = self.groups[k] == self.groups[l]
+        k, l = k[same], l[same]
+        z = self.coeffs[k] * self.coeffs[l].conj()
+        self._pairs = list(zip(k, l, self.ell_s[k] - self.ell_s[l],
+                               self.ell_i[k] - self.ell_i[l], 2.0 * np.abs(z), np.angle(z)))
 
     def _density_ratio(self, r_s, th_s, r_i, th_i):
-        """target / (envelope * W * proposal); the r_s r_i Jacobians cancel."""
-        amp_s = self._mode_matrix(self.ell_s, self.waist_s, r_s, th_s)
-        amp_i = self._mode_matrix(self.ell_i, self.waist_i, r_i, th_i)
-        fields = amp_s * amp_i  # (n_components, batch)
-        target = np.zeros(r_s.shape)
-        for g in self._group_ids:
-            sel = self.groups == g
-            target += np.abs((self.coeffs[sel, None] * fields[sel]).sum(axis=0)) ** 2
-        proposal = (self.weights[:, None] * np.abs(fields) ** 2).sum(axis=0)
-        out = np.zeros_like(target)
-        ok = proposal > 0
-        out[ok] = target[ok] / (self.envelope * proposal[ok])
-        return out
-
-    @staticmethod
-    def _mode_matrix(ells, waist, r, theta):
-        from .lgmodes import RadialProfile, evaluate
-
-        rows = []
-        for l in ells:
-            prof = RadialProfile(int(l), waist)
-            rows.append(evaluate(prof, r) * np.exp(1j * float(l) * theta))
-        return np.asarray(rows)
+        """target / (envelope * W * proposal) = (1 + X/P) / envelope, the r_s
+        r_i Jacobians cancelled; where P = 0, never proposed, the pairs give 0."""
+        if not self._pairs:
+            return np.full(r_s.shape, 1.0 / self.envelope)
+        radial = (radial_amplitudes(self._abs_s, self.waist_s, r_s)[self._row_s]
+                  * radial_amplitudes(self._abs_i, self.waist_i, r_i)[self._row_i])
+        p = self.weights @ radial ** 2
+        x = np.zeros_like(p)
+        for k, l, dl_s, dl_i, m, phase in self._pairs:
+            x += m * radial[k] * radial[l] * np.cos(dl_s * th_s + dl_i * th_i + phase)
+        q = np.divide(x, p, out=np.full_like(p, -1.0), where=p > 0)
+        return (1.0 + q) / self.envelope
 
     def sample(self, n: int, rng: np.random.Generator):
         """Draw n positions (r_s, theta_s, r_i, theta_i)."""
-        if n == 0:
-            z = np.empty(0)
-            return z, z.copy(), z.copy(), z.copy()
-        out = [[], [], [], []]
+        out = [[np.empty(0)] for _ in range(4)]
         got = 0
         attempts = 0
         budget = MAX_ATTEMPT_FACTOR * n
@@ -444,6 +418,17 @@ def _dark_events(noise: NoiseModel, geometry: CameraGeometry, duration_s: float,
     return rec
 
 
+def _time_order(t: np.ndarray) -> np.ndarray:
+    """The stable time order of uint64 times, from one sort of unique keys:
+    each time shifted above b = n.bit_length() bits that hold its index.
+    Times of 2**(64 - b) or more leave no room, and take a stable argsort."""
+    b = len(t).bit_length()
+    if len(t) and int(t.max()) >> (64 - b):
+        return np.argsort(t, kind="stable")
+    keys = np.sort(t << np.uint64(b) | np.arange(len(t), dtype=np.uint64))
+    return (keys & np.uint64((1 << b) - 1)).astype(np.intp)
+
+
 def generate_setting_events(state, setting: MeasurementSetting,
                             manifest: RunManifest, rng) -> tuple[np.ndarray, dict]:
     """All events of one setting run: pair detections plus dark counts.
@@ -478,9 +463,8 @@ def generate_setting_events(state, setting: MeasurementSetting,
                                     noise, geometry, rng))
     recs.append(_dark_events(noise, geometry, manifest.duration, rng))
 
-    events = np.concatenate(recs) if recs else np.zeros(0, dtype=EVENT_DTYPE)
-    order = np.argsort(events["t"], kind="stable")
-    events = events[order]
+    events = np.concatenate(recs)
+    events = events[_time_order(events["t"])]
     stats = {
         "setting": setting.label,
         "source_pairs": n_source,
@@ -497,13 +481,11 @@ def generate_setting_events(state, setting: MeasurementSetting,
 def _worker_count() -> int:
     """Event-synthesis workers: the core count, capped by EVBLAB_THREADS."""
     n = os.cpu_count() or 1
-    cap = os.environ.get("EVBLAB_THREADS")
-    if cap is not None:
-        try:
-            n = min(n, max(1, int(cap)))
-        except ValueError:
-            pass
-    return n
+    cap = os.environ.get("EVBLAB_THREADS", str(n))
+    try:
+        return min(n, max(1, int(cap)))
+    except ValueError:
+        raise ConfigurationError(f"EVBLAB_THREADS must be an integer, got {cap!r}") from None
 
 
 def generate_run(manifest: RunManifest, out_dir) -> list[dict]:
@@ -517,6 +499,7 @@ def generate_run(manifest: RunManifest, out_dir) -> list[dict]:
     from concurrent.futures import ThreadPoolExecutor
     from pathlib import Path
 
+    workers = _worker_count()
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     state = evb_state(manifest.qplate_s, manifest.qplate_i)
@@ -532,7 +515,6 @@ def generate_run(manifest: RunManifest, out_dir) -> list[dict]:
         write_events(out_dir / manifest.settings[label], events)
         return stats
 
-    workers = _worker_count()
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
             stats = list(pool.map(job, range(len(labels))))

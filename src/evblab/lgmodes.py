@@ -47,6 +47,15 @@ class RadialProfile:
             raise ValueError(f"waist must be positive and finite, got {self.waist}")
 
 
+def radial_amplitudes(abs_ells, waist: float, r) -> np.ndarray:
+    """F_l(r) for each |l| of ``abs_ells`` (leading axis) at the radii ``r``;
+    unchecked, and with the Gaussian factor shared by all indices."""
+    r = np.asarray(r, dtype=float)
+    s, g = math.sqrt(2.0) * r / waist, np.exp(-(r ** 2) / waist ** 2)
+    return np.array([math.sqrt(2.0 / (math.pi * math.factorial(int(a)))) / waist
+                     * s ** int(a) * g for a in abs_ells])
+
+
 def evaluate(profile: RadialProfile, r):
     """Evaluate the real, nonnegative radial amplitude F_l(r).
 
@@ -57,10 +66,7 @@ def evaluate(profile: RadialProfile, r):
         raise ValueError("radius must be finite")
     if np.any(r < 0):
         raise ValueError("radius must be nonnegative")
-    a = abs(int(profile.ell))
-    w = profile.waist
-    norm = math.sqrt(2.0 / (math.pi * math.factorial(a))) / w
-    out = norm * (math.sqrt(2.0) * r / w) ** a * np.exp(-(r ** 2) / w ** 2)
+    out = radial_amplitudes([abs(int(profile.ell))], profile.waist, r)[0]
     return out if out.ndim else float(out)
 
 
@@ -102,8 +108,8 @@ def radial_bin_overlaps(ells, waist: float, edges) -> np.ndarray:
     edges = np.asarray(edges, dtype=float)
     half = 0.5 * np.diff(edges)[:, None]
     r = half * (_BIN_NODES + 1.0) + edges[:-1, None]  # (n_bins, nodes)
-    distinct, idx = np.unique(ells, return_inverse=True)
-    f = np.array([evaluate(RadialProfile(int(l), waist), r) for l in distinct])[idx]
+    distinct, idx = np.unique(np.abs(ells), return_inverse=True)
+    f = radial_amplitudes(distinct, waist, r)[idx]
     return np.einsum("abn,cbn,bn->acb", f, f, r * half * _BIN_WEIGHTS)
 
 

@@ -5,6 +5,7 @@ import sys
 import numpy as np
 import pytest
 
+from evblab import cli, coincidence
 from evblab.cli import main
 from evblab.coincidence import CoincidenceConfig, find_coincidences
 from evblab.eventsim import RunManifest, read_events
@@ -74,6 +75,15 @@ def test_generate_deterministic_across_thread_env(tmp_path, monkeypatch):
     assert len(files) == 17  # 16 event files + manifest
     for name in files:
         assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
+
+
+def test_generate_rejects_non_integer_thread_cap(tmp_path, monkeypatch, capsys):
+    monkeypatch.setenv("EVBLAB_THREADS", "two")
+    assert run_cli("generate", "--qs", "0.5", "--qi", "0.5", "--pairs", "100",
+                   "--out", str(tmp_path / "run")) == 1
+    err = capsys.readouterr().err
+    assert "EVBLAB_THREADS" in err and "'two'" in err
+    assert not (tmp_path / "run").exists()
 
 
 @pytest.fixture(scope="module")
@@ -248,6 +258,22 @@ def test_coincide_subtract_accidentals(tmp_path):
         tot_a = np.array(a["settings"][lab]["counts_theta"]).sum()
         tot_b = np.array(b["settings"][lab]["counts_theta"]).sum()
         assert tot_b <= tot_a
+
+
+def test_coincide_splits_each_setting_once(small_run, tmp_path, monkeypatch):
+    # matching and the accidentals pass share one ROI split per setting
+    real = coincidence.split_rois
+    calls = []
+
+    def spy(events, geometry):
+        calls.append(len(events))
+        return real(events, geometry)
+
+    monkeypatch.setattr(coincidence, "split_rois", spy)
+    monkeypatch.setattr(cli, "split_rois", spy)
+    assert main(["coincide", "--in", str(small_run), "--out", str(tmp_path / "c"),
+                 "--subtract-accidentals"]) == 0
+    assert len(calls) == 16
 
 
 def test_coincide_zero_event_files(tmp_path):

@@ -14,6 +14,7 @@ from evblab.coincidence import (
     bin_polar,
     find_coincidences,
     pooled_centroids,
+    split_rois,
 )
 from evblab.errors import ConfigurationError, FormatError
 from evblab.eventsim import EVENT_DTYPE, CameraGeometry, NoiseModel, Rect, default_manifest, generate_setting_events
@@ -414,6 +415,55 @@ def test_centroids_from_symmetric_events():
     assert cs[0] == pytest.approx(29.5, abs=0.1)
     assert ci[0] == pytest.approx(97.5, abs=0.1)
     np.testing.assert_allclose(pooled_centroids([ev, ev], GEO), (cs, ci), atol=1e-9)
+
+
+def centroids_reference(event_arrays, geometry):
+    """ROI centroids from each array's ROI masks and masked coordinate sums."""
+    sums = np.zeros((2, 2))
+    counts = np.zeros(2)
+    rois = (geometry.roi_signal, geometry.roi_idler)
+    for events in event_arrays:
+        for j, roi in enumerate(rois):
+            m = roi.contains(events["x"], events["y"])
+            sums[j] += events["x"][m].sum(), events["y"][m].sum()
+            counts[j] += m.sum()
+    return tuple(roi.center() if counts[j] == 0 else (sums[j, 0] / counts[j], sums[j, 1] / counts[j])
+                 for j, roi in enumerate(rois))
+
+
+def test_pooled_centroids_equal_masked_sums():
+    rng = np.random.default_rng(19)
+    arrays = []
+    for n in (0, 1, 500, 20_000):
+        ev = np.zeros(n, dtype=EVENT_DTYPE)
+        ev["x"] = rng.integers(0, 2 * GEO.width, n)  # about half of them off the camera
+        ev["y"] = rng.integers(0, 2 * GEO.height, n)
+        arrays.append(ev)
+    edge = np.zeros(4, dtype=EVENT_DTYPE)
+    edge["x"] = [65535, 0, GEO.width, GEO.width - 1]
+    edge["y"] = [0, 65535, GEO.height - 1, GEO.height]
+    arrays.append(edge)
+    # integer sums are exact, so the centroids agree to the last bit
+    assert pooled_centroids(iter(arrays), GEO) == centroids_reference(arrays, GEO)
+    signal_only = [a[GEO.roi_signal.contains(a["x"], a["y"])] for a in arrays]
+    cs, ci = pooled_centroids(signal_only, GEO)
+    assert (cs, ci) == centroids_reference(signal_only, GEO)
+    assert ci == GEO.roi_idler.center()
+
+
+def test_split_streams_match_like_records():
+    rng = np.random.default_rng(23)
+    ts, ti = random_stream(rng, n_max=4000)
+    ev = make_events(ts, ti, other=rng.integers(0, 10**7, 300))
+    split = split_rois(ev, GEO)
+    for cfg in (CoincidenceConfig(window=10), CoincidenceConfig(window=10, allow_multi_match=True)):
+        a, b = find_coincidences(ev, GEO, cfg), find_coincidences(split, GEO, cfg)
+        assert np.array_equal(a.signal, b.signal) and np.array_equal(a.idler, b.idler)
+        assert (a.n_signal_events, a.n_idler_events, a.skipped_outside_roi, a.total_events,
+                a.n_contended) == (b.n_signal_events, b.n_idler_events,
+                                   b.skipped_outside_roi, b.total_events, b.n_contended)
+        assert b.skipped_outside_roi == 300
+        assert accidental_estimate(ev, GEO, cfg, 1e6) == accidental_estimate(split, GEO, cfg, 1e6)
 
 
 # ---------------------------------------------------------------------------

@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.stats import chisquare
 
 import evblab.eventsim as es
@@ -12,6 +13,7 @@ from evblab.eventsim import (
     EVENT_DTYPE,
     CameraGeometry,
     NoiseModel,
+    PairPositionSampler,
     Rect,
     RunManifest,
     default_manifest,
@@ -28,6 +30,7 @@ from evblab.polarimetry import (
     setting_from_label,
     standard_set,
 )
+from evblab.lgmodes import RadialProfile, evaluate
 from evblab.qplate_state import QPlateParams, evb_state
 
 
@@ -207,6 +210,92 @@ def test_rejection_budget_enforced(monkeypatch):
     sampler = projected_sampler(state, setting_from_label("HH"))
     with pytest.raises(SamplingError):
         sampler.sample(10, np.random.default_rng(0))
+
+
+def density_ratio_reference(sampler, r_s, th_s, r_i, th_i):
+    """The accept ratio from the full target: every term's complex mode
+    product, the squared modulus of each group's coherent sum, divided by
+    envelope * sum_k |c_k|^2 |phi_k|^2.  NaN where that vanishes: the
+    proposal never draws such a point."""
+
+    def modes(ells, waist, r, theta):
+        return np.array([evaluate(RadialProfile(int(l), waist), r) * np.exp(1j * float(l) * theta)
+                         for l in ells])
+
+    fields = (modes(sampler.ell_s, sampler.waist_s, r_s, th_s)
+              * modes(sampler.ell_i, sampler.waist_i, r_i, th_i))
+    target = np.zeros(r_s.shape)
+    for g in np.unique(sampler.groups):
+        sel = sampler.groups == g
+        target += np.abs((sampler.coeffs[sel, None] * fields[sel]).sum(axis=0)) ** 2
+    proposal = (sampler.weights[:, None] * np.abs(fields) ** 2).sum(axis=0)
+    out = np.full_like(target, np.nan)
+    ok = proposal > 0
+    out[ok] = target[ok] / (sampler.envelope * proposal[ok])
+    return out
+
+
+term = st.tuples(
+    st.integers(-4, 4), st.integers(-4, 4), st.integers(0, 3),           # l_s, l_i, group
+    st.floats(0.05, 1.0), st.floats(0.0, 2 * math.pi),                  # |c|, arg c
+)
+radius = st.one_of(st.just(0.0), st.floats(1e-3, 5.0))  # in waists
+points = st.lists(st.tuples(radius, st.floats(0.0, 2 * math.pi), radius,
+                            st.floats(0.0, 2 * math.pi)), min_size=1, max_size=40)
+
+
+@given(terms=st.lists(term, min_size=1, max_size=8), copies=st.lists(
+           st.tuples(st.integers(0, 7), st.integers(0, 7)), max_size=4),
+       waists=st.tuples(st.sampled_from([1.0, 10.0, 20.0]), st.sampled_from([1.0, 7.5, 20.0])),
+       pts=points)
+@settings(max_examples=300, deadline=None)
+def test_density_ratio_matches_full_target(terms, copies, waists, pts):
+    # copies give term b the modes and group of term a: equal-mode pairs
+    terms = [list(t) for t in terms]
+    for a, b in copies:
+        if a < len(terms) and b < len(terms):
+            terms[b][:3] = terms[a][:3]
+    ell_s, ell_i, groups, mag, arg = (np.array(c) for c in zip(*terms))
+    try:
+        sampler = PairPositionSampler(mag * np.exp(1j * arg), ell_s, ell_i, groups, *waists)
+    except ValueError:  # equal-mode terms that cancel exactly
+        return
+    r_s, th_s, r_i, th_i = (np.array(c) for c in zip(*pts))
+    r_s, r_i = r_s * waists[0], r_i * waists[1]
+    ratio = sampler._density_ratio(r_s, th_s, r_i, th_i)
+    want = density_ratio_reference(sampler, r_s, th_s, r_i, th_i)
+    drawn = np.isfinite(want)
+    # ratios lie in [0, 1]: 1e-12 relative to that scale
+    np.testing.assert_allclose(ratio[drawn], want[drawn], rtol=1e-12, atol=1e-12)
+    assert np.all((ratio >= 0.0) & (ratio <= 1.0 + 1e-12))
+
+
+def test_singleton_groups_accept_everything_without_modes(monkeypatch):
+    # the Werner branch's intensity sampler: one term per sector
+    sampler = intensity_sampler(evb_state(*plates(0.5, 1.0)))
+    assert sampler.envelope == 1
+    monkeypatch.setattr(es, "radial_amplitudes", None)  # any mode evaluation fails
+    r = np.linspace(0.0, 30.0, 7)
+    np.testing.assert_array_equal(sampler._density_ratio(r, r, r, r), np.ones(7))
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 3, 4, 7, 8, 255, 256, 1000])
+def test_time_order_is_stable_argsort(n):
+    rng = np.random.default_rng(n)
+    top = np.uint64(2**63 >> max(n.bit_length() - 1, 0))  # 2**(64 - b), b index bits
+
+    def small(hi):
+        return rng.integers(0, hi, n).astype(np.uint64)
+
+    streams = [
+        small(5),                                 # many equal times
+        small(1 << 40),
+        np.full(n, top - np.uint64(1)),           # the largest time the keys hold
+        np.where(rng.random(n) < 0.5, top + small(3), small(3)),  # keys would wrap
+        np.where(rng.random(n) < 0.5, np.uint64(2**64 - 1) - small(2), small(4)),
+    ]
+    for t in streams:
+        np.testing.assert_array_equal(es._time_order(t), np.argsort(t, kind="stable"))
 
 
 def test_sampler_rejects_empty_projection():

@@ -10,6 +10,7 @@ from evblab.lgmodes import (
     azimuthal_bin_integrals,
     evaluate,
     mode_amplitude,
+    radial_amplitudes,
     radial_bin_overlaps,
     radial_overlap,
 )
@@ -138,3 +139,16 @@ def test_bin_integrals_add_up_to_full_range():
     assert ang.shape == (4, 4, 8)
     np.testing.assert_allclose(ang.sum(axis=2), np.where(dl == 0, 2 * math.pi, 0.0),
                                atol=1e-14)
+
+
+def test_radial_amplitudes_rows_follow_closed_form():
+    # one row per requested |l|, repeats included, over radii of any shape
+    w = 1.7
+    r = np.linspace(0.0, 6.0 * w, 240).reshape(2, 120)
+    abs_ells = [0, 3, 1, 8, 3]
+    rows = radial_amplitudes(abs_ells, w, r)
+    assert rows.shape == (5, 2, 120)
+    for row, a in zip(rows, abs_ells):
+        want = (math.sqrt(2.0 / (math.pi * math.factorial(a))) / w
+                * (math.sqrt(2.0) * r / w) ** a * np.exp(-(r / w) ** 2))
+        np.testing.assert_allclose(row, want, rtol=1e-13, atol=1e-300)
