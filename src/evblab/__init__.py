@@ -10,7 +10,7 @@ entanglement metrics (:mod:`tomography`).  :mod:`cli` orchestrates the
 whole chain.
 """
 
-from .lgmodes import RadialProfile, evaluate, mode_amplitude
+from .lgmodes import RadialProfile, evaluate
 from .qplate_state import (
     BellProbabilities,
     ModeSuperposition,
@@ -26,7 +26,6 @@ from .qplate_state import (
 from .polarimetry import (
     MeasurementSetting,
     TomographySet,
-    coincidence_density,
     expected_histogram,
     standard_set,
 )

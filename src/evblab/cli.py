@@ -116,8 +116,9 @@ def cmd_generate(args) -> int:
     )
     stats = generate_run(manifest, out)
     for s in stats:
-        print(f"{s['setting']}: {s['events']} events "
-              f"({s['passed_entangled'] + s['passed_white']} pairs)")
+        pairs = s["passed_entangled"] + s["passed_white"]
+        accept = f", acceptance {pairs / s['angle_draws']:.3f}" if s["angle_draws"] else ""
+        print(f"{s['setting']}: {s['events']} events ({pairs} pairs{accept})")
     print(f"wrote {len(stats)} event files + manifest.json to {out}")
     return 0
 

@@ -10,9 +10,11 @@ source flux.  A pair passes the setting's analyzer pair with its physical
 probability (computed analytically from the state), so the relative rates
 between the 16 settings carry the tomographic information; transverse
 positions of passing pairs are drawn from the normalized conditional
-density by exact rejection sampling with a gamma-radial envelope, at accept
-ratio (1 + X/P) / envelope: P is the density's diagonal part, X its
-interference terms.  One sort of unique time-above-index keys orders records.
+density in two exact stages: both radii once, from the radial marginal of
+the density's diagonal part P (gamma laws in r^2), then uniform angles,
+redrawn until accepted at ratio (1 + X/P) / envelope.  This is exact because,
+once equal modes are merged, the interference terms X integrate to zero over
+the angles.  One sort of unique time-above-index keys orders records.
 """
 
 from __future__ import annotations
@@ -29,7 +31,6 @@ from .lgmodes import radial_amplitudes
 from .qplate_state import _SECTOR_INDEX, ModeSuperposition, QPlateParams, evb_state
 from .polarimetry import (
     MeasurementSetting,
-    _coherent_mass,
     _projected_coefficients,
     pass_probability,
     setting_from_label,
@@ -48,7 +49,8 @@ EVENT_DTYPE = np.dtype(
 # Cosmetic time-over-threshold distribution: fixed discrete values with a
 # geometric-decay weight; carried through the pipeline, never analyzed.
 TOT_VALUES = np.arange(25, 401, 25, dtype=np.uint16)
-_w = np.exp(-np.arange(len(TOT_VALUES)) / 4.0)
+_TOT_DECAY = 4.0
+_w = np.exp(-np.arange(len(TOT_VALUES)) / _TOT_DECAY)
 TOT_WEIGHTS = _w / _w.sum()
 
 MAX_ATTEMPT_FACTOR = 10_000  # rejection budget per requested sample
@@ -69,25 +71,16 @@ class Rect:
             raise ValueError("rect must have positive size")
 
     def contains(self, x, y):
-        x = np.asarray(x)
-        y = np.asarray(y)
-        return (
-            (x >= self.x0)
-            & (x < self.x0 + self.width)
-            & (y >= self.y0)
-            & (y < self.y0 + self.height)
-        )
+        x, y = np.asarray(x), np.asarray(y)
+        return ((x >= self.x0) & (x < self.x0 + self.width)
+                & (y >= self.y0) & (y < self.y0 + self.height))
 
     def center(self) -> tuple[float, float]:
         return (self.x0 + (self.width - 1) / 2.0, self.y0 + (self.height - 1) / 2.0)
 
     def overlaps(self, other: "Rect") -> bool:
-        return not (
-            self.x0 + self.width <= other.x0
-            or other.x0 + other.width <= self.x0
-            or self.y0 + self.height <= other.y0
-            or other.y0 + other.height <= self.y0
-        )
+        return not (self.x0 + self.width <= other.x0 or other.x0 + other.width <= self.x0
+                    or self.y0 + self.height <= other.y0 or other.y0 + other.height <= self.y0)
 
 
 @dataclass(frozen=True)
@@ -104,12 +97,8 @@ class CameraGeometry:
 
     def __post_init__(self):
         for roi in (self.roi_signal, self.roi_idler):
-            if (
-                roi.x0 < 0
-                or roi.y0 < 0
-                or roi.x0 + roi.width > self.width
-                or roi.y0 + roi.height > self.height
-            ):
+            if (roi.x0 < 0 or roi.y0 < 0 or roi.x0 + roi.width > self.width
+                    or roi.y0 + roi.height > self.height):
                 raise ValueError("ROI extends beyond the camera")
         if self.roi_signal.overlaps(self.roi_idler):
             raise ValueError("signal and idler ROIs must be disjoint")
@@ -271,91 +260,115 @@ def read_events(path) -> np.ndarray:
 # Position sampling
 
 class PairPositionSampler:
-    """Exact rejection sampler for two-photon transverse positions.
+    """Exact two-stage sampler for two-photon transverse positions.
 
     The target density is sum over coherence groups g of
     |sum_{k in g} c_k phi_k(x)|^2 * r_s * r_i, with phi_k the product of the
-    two normalized transverse modes of term k, of radial part R_k.  The
-    proposal draws a term with probability |c_k|^2 / W, radii from the exact
-    per-mode radial law (gamma in r^2), and uniform angles: W times its
-    density is the target's diagonal part P = sum_k |c_k|^2 R_k^2.  The rest
-    is X = 2 sum_{k<l in one group} |c_k c_l| R_k R_l cos(dl_s theta_s +
-    dl_i theta_i + arg c_k c_l*).  Cauchy-Schwarz bounds the target by
-    envelope * P (the largest group size), so the exact accept ratio is
-    (1 + X/P) / envelope, the constant 1/envelope when no group has a pair.
+    two normalized transverse modes of term k, of radial part R_k.  Equal
+    modes of one group are merged, so the interference part X = 2 sum_{k<l}
+    |c_k c_l| R_k R_l cos(dl_s theta_s + dl_i theta_i + arg c_k c_l*), over
+    pairs of one group, has dl != (0, 0) and integrates to zero over the
+    angles: the radial marginal is exactly that of P = sum_k |c_k|^2 R_k^2.
+    Radii come from a radial class (|l_s|, |l_i|) drawn with its weight and
+    gamma laws in r^2; then uniform angles are accepted with probability
+    (1 + X/P) / envelope, at most 1 by Cauchy-Schwarz (the envelope is the
+    largest group size) and of mean exactly 1/envelope at every radius.
     """
 
     def __init__(self, coeffs, ell_s, ell_i, groups, waist_s, waist_i):
         coeffs = np.asarray(coeffs, dtype=complex)
         keep = np.abs(coeffs) ** 2 > 1e-30
-        self.coeffs = coeffs[keep]
-        self.ell_s = np.asarray(ell_s)[keep]
-        self.ell_i = np.asarray(ell_i)[keep]
-        self.groups = np.asarray(groups)[keep]
-        if len(self.coeffs) == 0:
+        if not keep.any():
             raise ValueError("sampler needs at least one nonzero component")
-        # Components can cancel coherently (same modes, opposite amplitudes);
-        # detect an identically-zero density up front instead of rejecting
-        # forever.  Within a group, terms with equal mode indices interfere.
-        keys = zip(self.groups.tolist(), self.ell_s.tolist(), self.ell_i.tolist())
-        if _coherent_mass(self.coeffs, keys) < 1e-28:
+        # equal modes of one group add coherently, and may cancel exactly
+        keys, inv = np.unique(np.column_stack([groups, ell_s, ell_i])[keep].astype(int),
+                              axis=0, return_inverse=True)
+        merged = np.zeros(len(keys), dtype=complex)
+        np.add.at(merged, inv.ravel(), coeffs[keep])
+        weights = np.abs(merged) ** 2
+        if weights.sum() < 1e-28:
             raise ValueError("density is identically zero for this projection")
+        nz = weights > 1e-30
+        keys, self.coeffs, self.weights = keys[nz], merged[nz], weights[nz]
+        self.groups, self.ell_s, self.ell_i = keys.T
         self.waist_s, self.waist_i = waist_s, waist_i
-        self.weights = np.abs(self.coeffs) ** 2
-        _, counts = np.unique(self.groups, return_counts=True)
-        self.envelope = int(counts.max())
-        self._probs = self.weights / self.weights.sum()
-        # radial rows, one per distinct |l| and arm, and the interference pairs
+        self.envelope = int(np.unique(self.groups, return_counts=True)[1].max())
+        self.angle_draws = 0  # angle pairs drawn by sample, accepted or not
+        # radial classes with their probabilities; radial rows per distinct |l| and arm
+        self._classes, cls = np.unique(np.abs(keys[:, 1:]), axis=0, return_inverse=True)
+        self._class_p = np.bincount(cls.ravel(), self.weights) / self.weights.sum()
         self._abs_s, self._row_s = np.unique(np.abs(self.ell_s), return_inverse=True)
         self._abs_i, self._row_i = np.unique(np.abs(self.ell_i), return_inverse=True)
-        # k < l of one group as (k, l, dl_s, dl_i, 2|z|, arg z), z = c_k c_l*
+        # k < l of one group as (k, l, dl_s, dl_i, arg c_k c_l*)
         k, l = np.triu_indices(len(self.coeffs), 1)
         same = self.groups[k] == self.groups[l]
         k, l = k[same], l[same]
-        z = self.coeffs[k] * self.coeffs[l].conj()
-        self._pairs = list(zip(k, l, self.ell_s[k] - self.ell_s[l],
-                               self.ell_i[k] - self.ell_i[l], 2.0 * np.abs(z), np.angle(z)))
+        self._pairs = list(zip(k, l, self.ell_s[k] - self.ell_s[l], self.ell_i[k] - self.ell_i[l],
+                               np.angle(self.coeffs[k] * self.coeffs[l].conj())))
+
+    def _amplitudes(self, r_s, r_i):
+        """|c_k| R_k / sqrt(P) per term (rows) at the radii, so that pair (k, l)
+        has visibility 2 a_k a_l; one constant column |c_k| / sqrt(W) when all
+        terms share a radial class, and zero where P vanishes."""
+        a = np.abs(self.coeffs)[:, None]
+        if len(self._classes) == 1:
+            return a / math.sqrt(self.weights.sum())
+        a = a * (radial_amplitudes(self._abs_s, self.waist_s, r_s)[self._row_s]
+                 * radial_amplitudes(self._abs_i, self.waist_i, r_i)[self._row_i])
+        norm = np.sqrt((a * a).sum(axis=0))
+        return np.divide(a, norm, out=np.zeros_like(a), where=norm > 0)
+
+    def _angle_ratio(self, a, th_s, th_i):
+        """(1 + X/P) / envelope from the amplitudes ``a`` of ``_amplitudes``."""
+        x = np.ones(np.shape(th_s))
+        for k, l, dl_s, dl_i, phase in self._pairs:
+            x += 2.0 * a[k] * a[l] * np.cos(dl_s * th_s + dl_i * th_i + phase)
+        return x / self.envelope
 
     def _density_ratio(self, r_s, th_s, r_i, th_i):
         """target / (envelope * W * proposal) = (1 + X/P) / envelope, the r_s
-        r_i Jacobians cancelled; where P = 0, never proposed, the pairs give 0."""
-        if not self._pairs:
-            return np.full(r_s.shape, 1.0 / self.envelope)
-        radial = (radial_amplitudes(self._abs_s, self.waist_s, r_s)[self._row_s]
-                  * radial_amplitudes(self._abs_i, self.waist_i, r_i)[self._row_i])
-        p = self.weights @ radial ** 2
-        x = np.zeros_like(p)
-        for k, l, dl_s, dl_i, m, phase in self._pairs:
-            x += m * radial[k] * radial[l] * np.cos(dl_s * th_s + dl_i * th_i + phase)
-        q = np.divide(x, p, out=np.full_like(p, -1.0), where=p > 0)
-        return (1.0 + q) / self.envelope
+        r_i Jacobians cancelled; 1/envelope where P = 0, which is never drawn."""
+        return self._angle_ratio(self._amplitudes(r_s, r_i), th_s, th_i)
+
+    def _radii(self, n: int, rng):
+        """n radius pairs from the radial marginal: a class, then on each arm
+        Gamma(|l| + 1) in 2 r^2 / w^2, exactly minus the log of a product of
+        |l| + 1 uniforms on (0, 1]."""
+        cls = rng.choice(len(self._class_p), n, p=self._class_p) if len(self._class_p) > 1 else None
+        r = np.empty((2, n))
+        for c, abs_ells in enumerate(self._classes):
+            sel = slice(None) if cls is None else cls == c
+            m = n if cls is None else int(np.count_nonzero(sel))
+            for arm, a, w in zip(r, abs_ells, (self.waist_s, self.waist_i)):
+                u = 1.0 - rng.random(m)
+                for _ in range(a):
+                    u *= 1.0 - rng.random(m)
+                arm[sel] = np.sqrt(-np.log(u) * (w * w / 2.0))
+        return r
 
     def sample(self, n: int, rng: np.random.Generator):
-        """Draw n positions (r_s, theta_s, r_i, theta_i)."""
-        out = [[np.empty(0)] for _ in range(4)]
-        got = 0
-        attempts = 0
-        budget = MAX_ATTEMPT_FACTOR * n
-        while got < n:
-            batch = min(max(2 * (n - got), 1024), 1_000_000)
-            if attempts + batch > budget:
-                batch = budget - attempts
-                if batch <= 0:
-                    raise SamplingError(
-                        f"rejection sampling exhausted {budget} attempts "
-                        f"({got}/{n} accepted)"
-                    )
-            attempts += batch
-            k = rng.choice(len(self.coeffs), size=batch, p=self._probs)
-            r_s = np.sqrt(rng.gamma(np.abs(self.ell_s[k]) + 1.0, self.waist_s**2 / 2.0))
-            r_i = np.sqrt(rng.gamma(np.abs(self.ell_i[k]) + 1.0, self.waist_i**2 / 2.0))
-            th_s = rng.uniform(0.0, 2.0 * math.pi, size=batch)
-            th_i = rng.uniform(0.0, 2.0 * math.pi, size=batch)
-            accept = rng.random(batch) < self._density_ratio(r_s, th_s, r_i, th_i)
-            for arr, vals in zip(out, (r_s, th_s, r_i, th_i)):
-                arr.append(vals[accept])
-            got += int(accept.sum())
-        return tuple(np.concatenate(a)[:n] for a in out)
+        """Draw n positions (r_s, theta_s, r_i, theta_i): radii once, then
+        angles redrawn for the pending samples until accepted."""
+        r_s, r_i = self._radii(n, rng)
+        a = self._amplitudes(r_s, r_i) if self._pairs else None
+        th = np.empty((2, n))
+        pending, draws, budget = np.arange(n), 0, MAX_ATTEMPT_FACTOR * n
+        while len(pending):
+            m = len(pending)
+            if draws + m > budget:
+                raise SamplingError(f"rejection sampling exhausted {budget} attempts "
+                                    f"({n - m}/{n} accepted)")
+            draws += m
+            t = rng.random((2, m)) * (2.0 * math.pi)
+            if a is None:  # no interference pair: the first draw is accepted
+                th = t
+                break
+            rows = a if a.shape[1] == 1 else a[:, pending]
+            ok = rng.random(m) < self._angle_ratio(rows, t[0], t[1])
+            th[:, pending[ok]] = t[:, ok]
+            pending = pending[~ok]
+        self.angle_draws += draws
+        return r_s, th[0], r_i, th[1]
 
 
 def projected_sampler(state: ModeSuperposition, setting: MeasurementSetting) -> PairPositionSampler:
@@ -385,23 +398,30 @@ def _pixels(r, theta, centroid):
     return x, y
 
 
+def _tot(rng, m: int) -> np.ndarray:
+    """m draws from TOT_WEIGHTS by exact inversion of the truncated geometric
+    law: floor(-decay * log(1 - (1 - e^(-16/decay)) u)), clamped to 15."""
+    u = rng.random(m) * math.expm1(-len(TOT_VALUES) / _TOT_DECAY)
+    k = (-_TOT_DECAY * np.log1p(u, out=u)).astype(np.intp)  # >= 0: truncation floors
+    return TOT_VALUES[np.minimum(k, len(TOT_VALUES) - 1, out=k)]
+
+
 def _detect_photons(r, theta, centroid, t_true, noise: NoiseModel,
                     geometry: CameraGeometry, rng) -> np.ndarray:
     """Efficiency thinning, jitter, pixel mapping for one arm; returns records."""
     n = len(r)
     keep = rng.random(n) < noise.efficiency
-    t = np.asarray(t_true, dtype=float).copy()
+    t = np.asarray(t_true, dtype=float)
     if noise.jitter_sigma > 0:
         t = t + rng.normal(0.0, noise.jitter_sigma, size=n)
     x, y = _pixels(r, theta, centroid)
-    on_camera = (x >= 0) & (x < geometry.width) & (y >= 0) & (y < geometry.height)
-    keep &= on_camera
+    keep &= (x >= 0) & (x < geometry.width) & (y >= 0) & (y < geometry.height)
     m = int(keep.sum())
     rec = np.zeros(m, dtype=EVENT_DTYPE)
     rec["x"] = x[keep]
     rec["y"] = y[keep]
     rec["t"] = np.maximum(np.rint(t[keep]), 0.0).astype(np.uint64)
-    rec["tot"] = rng.choice(TOT_VALUES, size=m, p=TOT_WEIGHTS)
+    rec["tot"] = _tot(rng, m)
     return rec
 
 
@@ -414,7 +434,7 @@ def _dark_events(noise: NoiseModel, geometry: CameraGeometry, duration_s: float,
         rec["x"] = rng.integers(0, geometry.width, size=n)
         rec["y"] = rng.integers(0, geometry.height, size=n)
         rec["t"] = rng.uniform(0.0, duration_s * 1e9, size=n).astype(np.uint64)
-        rec["tot"] = rng.choice(TOT_VALUES, size=n, p=TOT_WEIGHTS)
+        rec["tot"] = _tot(rng, n)
     return rec
 
 
@@ -473,6 +493,7 @@ def generate_setting_events(state, setting: MeasurementSetting,
         "passed_entangled": n_pairs_ent,
         "passed_white": n_pairs_white,
         "pass_probability": p_pass,
+        "angle_draws": sum(sampler.angle_draws for sampler, _ in chunks),
         "events": int(len(events)),
     }
     return events, stats

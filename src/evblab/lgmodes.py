@@ -70,15 +70,6 @@ def evaluate(profile: RadialProfile, r):
     return out if out.ndim else float(out)
 
 
-def mode_amplitude(profile: RadialProfile, r, theta):
-    """Full transverse mode F_l(r) * exp(i l theta) at one or many points."""
-    theta = np.asarray(theta, dtype=float)
-    if not np.all(np.isfinite(theta)):
-        raise ValueError("theta must be finite")
-    out = evaluate(profile, r) * np.exp(1j * profile.ell * theta)
-    return out if np.ndim(out) else complex(out)
-
-
 _gamma = np.vectorize(math.gamma, otypes=[float])
 
 

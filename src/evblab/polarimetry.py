@@ -5,9 +5,9 @@ The canonical tomography set is the 16-element product of signal analyzers
 {H, V, A, R} with idler analyzers {H, V, A, L}, in row-major order; any
 other tomographically complete 16-setting product can be supplied by label.
 
-The analytic side turns a mode superposition plus a setting into pointwise
-coincidence probability densities and bin-integrated expected histograms,
-serving as ground truth for the Monte-Carlo event pipeline.
+The analytic side turns a mode superposition plus a setting into pass
+probabilities and bin-integrated expected histograms, serving as ground
+truth for the Monte-Carlo event pipeline.
 """
 
 from __future__ import annotations
@@ -22,7 +22,6 @@ from .qplate_state import (
     JONES,
     ModeSuperposition,
     bin_mass,
-    local_spinor_linear,
     term_projections,
 )
 
@@ -128,18 +127,7 @@ def orthogonal_jones(v: np.ndarray) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Analytic densities
-
-def coincidence_density(state: ModeSuperposition, setting: MeasurementSetting,
-                        r_s, theta_s, r_i, theta_i):
-    """Probability density (per r dr dtheta each arm) of a coincidence at the
-    given coordinates under the setting's projector pair."""
-    v = local_spinor_linear(state, r_s, theta_s, r_i, theta_i)
-    proj = np.kron(setting.proj_s, setting.proj_i)
-    amp = v @ proj.conj()
-    out = np.abs(amp) ** 2
-    return out if np.ndim(out) else float(out)
-
+# Analytic statistics
 
 def _projected_coefficients(state: ModeSuperposition, setting: MeasurementSetting):
     """Per-term complex coefficient after projecting both polarizations."""

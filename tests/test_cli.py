@@ -77,6 +77,17 @@ def test_generate_deterministic_across_thread_env(tmp_path, monkeypatch):
         assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
 
 
+def test_generate_prints_acceptance(tmp_path, capsys):
+    # pairs per angle draw: 1/envelope, so about 1/2 for HH (two interfering
+    # terms) and exactly 1 for HL (one term) of the (1/2, 1) plates
+    assert run_cli("generate", "--qs", "0.5", "--qi", "1", "--pairs", "8000", "--seed", "5",
+                   "--out", str(tmp_path / "run")) == 0
+    lines = dict(l.split(": ", 1) for l in capsys.readouterr().out.splitlines() if ": " in l)
+    accept = {lab: float(lines[lab].rsplit("acceptance ", 1)[1].rstrip(")")) for lab in ("HH", "HL")}
+    assert abs(accept["HH"] - 0.5) < 0.05
+    assert accept["HL"] == 1.0
+
+
 def test_generate_rejects_non_integer_thread_cap(tmp_path, monkeypatch, capsys):
     monkeypatch.setenv("EVBLAB_THREADS", "two")
     assert run_cli("generate", "--qs", "0.5", "--qi", "0.5", "--pairs", "100",

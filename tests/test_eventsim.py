@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.integrate import quad
 from scipy.stats import chisquare
 
 import evblab.eventsim as es
@@ -31,7 +32,7 @@ from evblab.polarimetry import (
     standard_set,
 )
 from evblab.lgmodes import RadialProfile, evaluate
-from evblab.qplate_state import QPlateParams, evb_state
+from evblab.qplate_state import JONES, QPlateParams, evb_state
 
 
 def plates(qs, qi, delta=math.pi, waist=10.0):
@@ -202,6 +203,90 @@ def test_sampled_radii_follow_mode_intensity():
     probs = probs / probs.sum()
     _, p = chisquare(counts, probs * counts.sum())
     assert p > 0.01
+
+
+def relative_angle_oracle(state, setting, r_edges, xi_edges):
+    """Probability of each (idler radius bin, relative-angle bin) cell, with
+    xi = theta_s - theta_i mod 2 pi, from the unmerged target integrated
+    numerically.  Put theta_i = theta_s - xi: integrating theta_s keeps the
+    term pairs of equal l_s + l_i, and leaves exp(-i (l_i,k - l_i,l) xi)."""
+    c = np.array([t.amp * np.vdot(setting.proj_s, JONES[t.pol_s])
+                  * np.vdot(setting.proj_i, JONES[t.pol_i]) for t in state.terms])
+
+    def radial_integral(ell_a, ell_b, waist, lo, hi):
+        fa, fb = RadialProfile(ell_a, waist), RadialProfile(ell_b, waist)
+        return quad(lambda r: evaluate(fa, r) * evaluate(fb, r) * r, lo, hi, limit=200)[0]
+
+    mass = np.zeros((len(r_edges) - 1, len(xi_edges) - 1))
+    for k, tk in enumerate(state.terms):
+        for l, tl in enumerate(state.terms):
+            if tk.ell_s + tk.ell_i != tl.ell_s + tl.ell_i:
+                continue
+            o_s = radial_integral(tk.ell_s, tl.ell_s, state.waist_s, 0.0, np.inf)
+            o_i = np.array([radial_integral(tk.ell_i, tl.ell_i, state.waist_i, lo, hi)
+                            for lo, hi in zip(r_edges[:-1], r_edges[1:])])
+            d = tk.ell_i - tl.ell_i
+            e = (np.diff(xi_edges) if d == 0
+                 else np.diff(np.exp(-1j * d * xi_edges)) / (-1j * d))
+            mass += (c[k] * np.conj(c[l]) * o_s * np.outer(o_i, e)).real
+    return mass / mass.sum()
+
+
+def test_joint_radius_relative_angle_law_with_radial_visibility():
+    # delta = pi/2: l = 0 and +-1 terms interfere in one group, so the angle
+    # acceptance depends on the radii (three radial classes in HH); 2e5 draws
+    # binned by (r_i, theta_s - theta_i) against the integrated target
+    state = evb_state(*plates(0.5, 0.5, delta=math.pi / 2))
+    setting = setting_from_label("HH")
+    sampler = projected_sampler(state, setting)
+    assert len(sampler._classes) > 1 and sampler.envelope > 1
+    r_edges = np.array([0.0, 0.5, 0.8, 1.1, 1.5, np.inf]) * state.waist_i
+    xi_edges = np.linspace(0.0, 2 * math.pi, 9)
+    _, th_s, r_i, th_i = sampler.sample(200_000, np.random.default_rng(43))
+    counts, _, _ = np.histogram2d(r_i, np.mod(th_s - th_i, 2 * math.pi),
+                                  bins=(r_edges, xi_edges))
+    probs = relative_angle_oracle(state, setting, r_edges, xi_edges)
+    _, p = chisquare(counts.ravel(), probs.ravel() * counts.sum())
+    assert p > 0.01
+
+
+def test_split_equal_mode_term_merges_to_same_sampler_and_draws():
+    # a term given as two equal-mode halves is the unsplit term: same merged
+    # coefficients and modes, and the same draws from the same seed
+    c = np.array([0.3 + 0.4j, -0.5j, 0.2, 0.1 - 0.3j])
+    ell_s, ell_i, groups = [1, -1, 0, 2], [2, -2, 0, 0], [0, 0, 1, 0]
+    whole = PairPositionSampler(c, ell_s, ell_i, groups, 10.0, 12.0)
+    split = PairPositionSampler(np.r_[c[0] / 2, c[1:], c[0] / 2], ell_s + [1], ell_i + [2],
+                                groups + [0], 10.0, 12.0)
+    for name in ("coeffs", "ell_s", "ell_i", "groups", "weights"):
+        np.testing.assert_array_equal(getattr(split, name), getattr(whole, name))
+    assert split.envelope == whole.envelope == 3
+    for a, b in zip(whole.sample(5000, np.random.default_rng(3)),
+                    split.sample(5000, np.random.default_rng(3))):
+        np.testing.assert_array_equal(a, b)
+
+
+def test_vanishing_density_radius_accepts_at_mean_rate():
+    # at r_s = 0 every signal mode vanishes (P = 0): the angles are accepted
+    # at the mean rate 1/envelope there, so such a radius cannot stall sample
+    sampler = PairPositionSampler([1.0, 1j], [1, -2], [0, 0], [0, 0], 10.0, 10.0)
+    th = np.linspace(0.0, 6.0, 7)
+    np.testing.assert_array_equal(sampler._density_ratio(np.zeros(7), th, np.ones(7), th),
+                                  np.full(7, 0.5))
+
+
+def test_angle_draws_per_pair_at_envelope():
+    # criterion-6 plates: HH has envelope 2, so each pair takes a geometric
+    # number of angle draws with mean 2 and variance 2; HL has envelope 1
+    man = default_manifest(*plates(0.5, 1.0, waist=20.0), n_pairs=40_000, rng_seed=47,
+                           noise=NoiseModel(jitter_sigma=0.0))
+    state = evb_state(man.qplate_s, man.qplate_i)
+    rng = np.random.default_rng(47)
+    _, hh = generate_setting_events(state, setting_from_label("HH"), man, rng)
+    n = hh["passed_entangled"]
+    assert abs(hh["angle_draws"] - 2 * n) < 5 * math.sqrt(2 * n)
+    _, hl = generate_setting_events(state, setting_from_label("HL"), man, rng)
+    assert hl["angle_draws"] == hl["passed_entangled"] > 0
 
 
 def test_rejection_budget_enforced(monkeypatch):
@@ -421,3 +506,15 @@ def test_tot_values_from_fixed_table(tmp_path):
     generate_run(man, tmp_path)
     ev = read_events(tmp_path / next(iter(man.settings.values())))
     assert set(np.unique(ev["tot"])).issubset(set(es.TOT_VALUES.tolist()))
+
+
+def test_tot_frequencies_follow_weights():
+    # pair photons and dark events together: chi-square against TOT_WEIGHTS
+    man = small_manifest(n_pairs=20_000, seed=53, dark_rate=2.0)
+    state = evb_state(man.qplate_s, man.qplate_i)
+    events, _ = generate_setting_events(state, setting_from_label("HV"), man,
+                                        np.random.default_rng(53))
+    counts = np.array([np.count_nonzero(events["tot"] == v) for v in es.TOT_VALUES])
+    assert counts.sum() == len(events) > 40_000
+    _, p = chisquare(counts, es.TOT_WEIGHTS * len(events))
+    assert p > 0.01

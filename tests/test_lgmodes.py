@@ -9,11 +9,11 @@ from evblab.lgmodes import (
     RadialProfile,
     azimuthal_bin_integrals,
     evaluate,
-    mode_amplitude,
     radial_amplitudes,
     radial_bin_overlaps,
     radial_overlap,
 )
+from evblab.qplate_state import ModeSuperposition, ModeTerm, local_spinor
 
 
 def l2_norm_quadrature(ell, waist):
@@ -55,36 +55,50 @@ def test_peak_location(ell):
     assert abs(r[np.argmax(evaluate(prof, r))] - r_star) < 2e-3 * w
 
 
+def signal_mode(ell, waist, r, theta):
+    """The signal-arm LG mode F_l(r) exp(i l theta) as the state layer builds it.
+
+    One |L, R> term with an idler Gaussian read at the idler origin, where
+    F_0(0) = sqrt(2/pi) / w_i is real and positive, so dividing by it leaves
+    the signal mode alone.
+    """
+    w_i = 1.0
+    state = ModeSuperposition.from_terms([ModeTerm("L", "R", ell, 0, 1.0)],
+                                         waist_s=waist, waist_i=w_i)
+    v = local_spinor(state, r, theta, np.zeros_like(np.asarray(r, dtype=float)), 0.0)
+    assert np.all(v[..., [0, 2, 3]] == 0)
+    return v[..., 1] / evaluate(RadialProfile(0, w_i), 0.0)
+
+
 def test_mode_amplitude_phases():
     prof0 = RadialProfile(0, 1.0)
     for theta in (0.0, 1.0, 4.0):
-        assert mode_amplitude(prof0, 1.0, theta).imag == 0.0
+        assert signal_mode(0, 1.0, 1.0, theta).imag == 0.0
     prof1 = RadialProfile(1, 1.0)
-    val = mode_amplitude(prof1, 1.0, math.pi / 2)
+    val = signal_mode(1, 1.0, 1.0, math.pi / 2)
     assert val == pytest.approx(evaluate(prof1, 1.0) * 1j, abs=1e-12)
     prof_m2 = RadialProfile(-2, 1.0)
-    val = mode_amplitude(prof_m2, 0.7, math.pi / 4)
+    val = signal_mode(-2, 1.0, 0.7, math.pi / 4)
     expected = evaluate(prof_m2, 0.7) * np.exp(-1j * math.pi / 2)
     assert val == pytest.approx(expected, abs=1e-12)
+    assert signal_mode(0, 1.0, 1.0, 4.0) == pytest.approx(evaluate(prof0, 1.0), abs=1e-12)
 
 
 @given(
     ell=st.integers(min_value=-8, max_value=8),
     r=st.floats(min_value=0.0, max_value=30.0),
-    theta=st.floats(min_value=0.0, max_value=2 * math.pi),
 )
 @settings(max_examples=200, deadline=None)
-def test_conjugate_symmetry(ell, r, theta):
+def test_conjugate_symmetry(ell, r):
+    # F_l = F_-l, so the modes F_l(r) exp(+-i l theta) are complex conjugates
     w = 1.7
-    a = mode_amplitude(RadialProfile(ell, w), r, theta)
-    b = mode_amplitude(RadialProfile(-ell, w), r, theta)
-    assert a == pytest.approx(np.conj(b), abs=1e-12)
+    assert evaluate(RadialProfile(ell, w), r) == evaluate(RadialProfile(-ell, w), r)
 
 
 def test_modulus_matches_radial_part():
     prof = RadialProfile(3, 1.3)
     r = np.linspace(0, 8, 50)
-    amp = mode_amplitude(prof, r, 0.9)
+    amp = signal_mode(3, 1.3, r, 0.9)
     assert np.allclose(np.abs(amp), evaluate(prof, r), atol=1e-14)
 
 

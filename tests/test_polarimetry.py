@@ -8,7 +8,6 @@ from evblab.coincidence import PolarBinning
 from evblab.lgmodes import RadialProfile, evaluate
 from evblab.polarimetry import (
     MeasurementSetting,
-    coincidence_density,
     expected_histogram,
     orthogonal_jones,
     pass_probability,
@@ -16,7 +15,14 @@ from evblab.polarimetry import (
     setting_from_label,
     standard_set,
 )
-from evblab.qplate_state import JONES, QPlateParams, epr_state, evb_state, local_spinor
+from evblab.qplate_state import (
+    JONES,
+    QPlateParams,
+    epr_state,
+    evb_state,
+    local_spinor,
+    local_spinor_linear,
+)
 
 W = 1.0
 
@@ -80,6 +86,14 @@ def test_orthogonal_jones():
 
 # ---------------------------------------------------------------------------
 # Densities
+
+def coincidence_density(state, setting, r_s, theta_s, r_i, theta_i):
+    """Oracle: |<setting|psi(x)>|^2 from the local spinor, per r dr dtheta on
+    each arm."""
+    amp = local_spinor_linear(state, r_s, theta_s, r_i, theta_i) @ np.kron(
+        setting.proj_s, setting.proj_i).conj()
+    return float(abs(amp) ** 2)
+
 
 def test_epr_density_hh_zero_hv_half_gaussian():
     state = epr_state(waist_s=W, waist_i=W)

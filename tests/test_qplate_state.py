@@ -197,6 +197,25 @@ def test_local_spinor_tuned_sectors():
     assert abs(v[1]) == pytest.approx(abs(v[2]), abs=1e-12)
 
 
+def test_local_spinor_mode_phases():
+    # one |L, R> term with modes (l_s, l_i): the LR amplitude is the mode
+    # product F_ls(r_s) F_li(r_i) exp(i (l_s th_s + l_i th_i)), of modulus F F
+    r_s, r_i = np.array([0.0, 0.7, 2.0]), np.array([1.1, 0.4, 3.0])
+    for ell_s, ell_i, th_s, th_i in [(0, 0, 1.0, 4.0), (1, 0, math.pi / 2, 0.3),
+                                     (-2, 3, math.pi / 4, 1.1)]:
+        state = ModeSuperposition.from_terms([ModeTerm("L", "R", ell_s, ell_i, 1.0)],
+                                             waist_s=1.0, waist_i=1.3)
+        v = local_spinor(state, r_s, th_s, r_i, th_i)
+        f = evaluate(RadialProfile(ell_s, 1.0), r_s) * evaluate(RadialProfile(ell_i, 1.3), r_i)
+        np.testing.assert_allclose(v[:, 1], f * np.exp(1j * (ell_s * th_s + ell_i * th_i)),
+                                   rtol=0, atol=1e-14)
+        np.testing.assert_allclose(np.abs(v[:, 1]), f, rtol=0, atol=1e-14)
+        assert np.all(v[:, [0, 2, 3]] == 0)
+    # l = 0 carries no phase: the imaginary part is exactly zero
+    assert local_spinor(ModeSuperposition.from_terms([ModeTerm("L", "R", 0, 0, 1.0)]),
+                        1.0, 4.0, 1.0, 2.0)[1].imag == 0.0
+
+
 def test_local_spinor_vortex_null():
     state = evb_state(*plates(0.5, 1.0))
     v = local_spinor(state, 0.0, 0.3, 1.0, 0.7)
