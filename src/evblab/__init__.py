@@ -10,7 +10,6 @@ entanglement metrics (:mod:`tomography`).  :mod:`cli` orchestrates the
 whole chain.
 """
 
-from .lgmodes import RadialProfile, evaluate
 from .qplate_state import (
     BellProbabilities,
     ModeSuperposition,

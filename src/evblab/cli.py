@@ -28,9 +28,9 @@ from .coincidence import (
 )
 from .errors import ConfigurationError, FormatError
 from .eventsim import (
-    CameraGeometry,
     NoiseModel,
     RunManifest,
+    default_manifest,
     generate_run,
     read_events,
 )
@@ -102,18 +102,8 @@ def cmd_generate(args) -> int:
         jitter_sigma=args.jitter_ns,
         werner_p=args.werner_p,
     )
-    geometry = CameraGeometry(waist_px=args.waist_px)
-    labels = standard_set().labels
-    manifest = RunManifest(
-        geometry=geometry,
-        settings={lab: f"events_{lab}.evb" for lab in labels},
-        pair_rate=args.pair_rate,
-        duration=args.pairs / args.pair_rate,
-        noise=noise,
-        rng_seed=args.seed,
-        qplate_s=plate_s,
-        qplate_i=plate_i,
-    )
+    manifest = default_manifest(plate_s, plate_i, n_pairs=args.pairs,
+                                pair_rate=args.pair_rate, noise=noise, rng_seed=args.seed)
     stats = generate_run(manifest, out)
     for s in stats:
         pairs = s["passed_entangled"] + s["passed_white"]

@@ -61,10 +61,6 @@ class PolarBinning:
     def r_edges(self) -> np.ndarray:
         return np.linspace(0.0, self.r_max, self.n_r + 1)
 
-    def theta_centers(self) -> np.ndarray:
-        e = self.theta_edges()
-        return 0.5 * (e[:-1] + e[1:])
-
 
 @dataclass
 class CoincidenceHistogram:

@@ -28,7 +28,7 @@ import numpy as np
 
 from .errors import ConfigurationError, FormatError, SamplingError
 from .lgmodes import radial_amplitudes
-from .qplate_state import _SECTOR_INDEX, ModeSuperposition, QPlateParams, evb_state
+from .qplate_state import ModeSuperposition, QPlateParams, evb_state, merge_modes
 from .polarimetry import (
     MeasurementSetting,
     _projected_coefficients,
@@ -281,10 +281,7 @@ class PairPositionSampler:
         if not keep.any():
             raise ValueError("sampler needs at least one nonzero component")
         # equal modes of one group add coherently, and may cancel exactly
-        keys, inv = np.unique(np.column_stack([groups, ell_s, ell_i])[keep].astype(int),
-                              axis=0, return_inverse=True)
-        merged = np.zeros(len(keys), dtype=complex)
-        np.add.at(merged, inv.ravel(), coeffs[keep])
+        keys, merged = merge_modes(coeffs[keep], np.column_stack([groups, ell_s, ell_i])[keep])
         weights = np.abs(merged) ** 2
         if weights.sum() < 1e-28:
             raise ValueError("density is identically zero for this projection")
@@ -383,7 +380,7 @@ def projected_sampler(state: ModeSuperposition, setting: MeasurementSetting) -> 
 def intensity_sampler(state: ModeSuperposition) -> PairPositionSampler:
     """Sampler for the unconditioned two-photon intensity profile."""
     coeffs = [t.amp for t in state.terms]
-    groups = [_SECTOR_INDEX[(t.pol_s, t.pol_i)] for t in state.terms]
+    groups = [t.sector for t in state.terms]
     return PairPositionSampler(coeffs, [t.ell_s for t in state.terms],
                                [t.ell_i for t in state.terms], groups,
                                state.waist_s, state.waist_i)
@@ -536,11 +533,8 @@ def generate_run(manifest: RunManifest, out_dir) -> list[dict]:
         write_events(out_dir / manifest.settings[label], events)
         return stats
 
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            stats = list(pool.map(job, range(len(labels))))
-    else:
-        stats = [job(k) for k in range(len(labels))]
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        stats = list(pool.map(job, range(len(labels))))
 
     (out_dir / "manifest.json").write_text(manifest.to_json())
     return stats

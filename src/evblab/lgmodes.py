@@ -7,44 +7,19 @@ toolkit.  Only the p=0 family is supported; the radial amplitude is
 
 which carries unit L2 norm once the azimuthal integral is included:
 integral of |F_l(r)|^2 * 2 pi r dr over [0, inf) equals 1.
+
+:func:`radial_amplitudes` is the one evaluation of F_l, and checks nothing:
+waists are checked by ``QPlateParams`` and ``ModeSuperposition``, radii by
+``local_spinor``, and the bound |l| <= MAX_AZIMUTHAL_INDEX by every ``ModeTerm``.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 MAX_AZIMUTHAL_INDEX = 8
-
-
-@dataclass(frozen=True)
-class RadialProfile:
-    """Radial part of a p=0 Laguerre-Gauss mode.
-
-    Parameters
-    ----------
-    ell : int
-        Azimuthal index.  |ell| <= 8 (sanity bound; the toolkit only ever
-        produces indices up to twice the largest plate charge).
-    waist : float
-        Beam waist in the same length units as the radius argument
-        (camera pixels throughout the pipeline).
-    """
-
-    ell: int
-    waist: float = 10.0
-
-    def __post_init__(self):
-        if self.ell != int(self.ell):
-            raise ValueError(f"azimuthal index must be an integer, got {self.ell}")
-        if abs(self.ell) > MAX_AZIMUTHAL_INDEX:
-            raise ValueError(
-                f"|ell| = {abs(self.ell)} exceeds the supported bound {MAX_AZIMUTHAL_INDEX}"
-            )
-        if not (math.isfinite(self.waist) and self.waist > 0):
-            raise ValueError(f"waist must be positive and finite, got {self.waist}")
 
 
 def radial_amplitudes(abs_ells, waist: float, r) -> np.ndarray:
@@ -54,20 +29,6 @@ def radial_amplitudes(abs_ells, waist: float, r) -> np.ndarray:
     s, g = math.sqrt(2.0) * r / waist, np.exp(-(r ** 2) / waist ** 2)
     return np.array([math.sqrt(2.0 / (math.pi * math.factorial(int(a)))) / waist
                      * s ** int(a) * g for a in abs_ells])
-
-
-def evaluate(profile: RadialProfile, r):
-    """Evaluate the real, nonnegative radial amplitude F_l(r).
-
-    Accepts scalar or array radii; radii must be nonnegative and finite.
-    """
-    r = np.asarray(r, dtype=float)
-    if not np.all(np.isfinite(r)):
-        raise ValueError("radius must be finite")
-    if np.any(r < 0):
-        raise ValueError("radius must be nonnegative")
-    out = radial_amplitudes([abs(int(profile.ell))], profile.waist, r)[0]
-    return out if out.ndim else float(out)
 
 
 _gamma = np.vectorize(math.gamma, otypes=[float])

@@ -22,6 +22,7 @@ from .qplate_state import (
     JONES,
     ModeSuperposition,
     bin_mass,
+    merge_modes,
     term_projections,
 )
 
@@ -121,11 +122,6 @@ def set_from_labels(labels) -> TomographySet:
     return TomographySet(tuple(setting_from_label(l) for l in labels))
 
 
-def orthogonal_jones(v: np.ndarray) -> np.ndarray:
-    """The unique (up to phase) Jones vector orthogonal to v."""
-    return np.array([-np.conj(v[1]), np.conj(v[0])])
-
-
 # ---------------------------------------------------------------------------
 # Analytic statistics
 
@@ -174,23 +170,12 @@ def expected_histogram(state: ModeSuperposition, setting: MeasurementSetting,
     )
 
 
-def _coherent_mass(coeffs, keys) -> float:
-    """Sum over distinct keys of |sum of the coefficients sharing the key|^2.
-
-    Terms with equal mode indices interfere; distinct modes are orthogonal
-    and add incoherently.
-    """
-    groups = {}
-    for c, k in zip(coeffs, keys):
-        groups[k] = groups.get(k, 0.0) + c
-    return float(sum(abs(v) ** 2 for v in groups.values()))
-
-
 def pass_probability(state: ModeSuperposition, setting: MeasurementSetting) -> float:
     """Probability that a pair in ``state`` passes both analyzers (all space).
 
     Uses orthonormality of the spatial modes: terms sharing (ell_s, ell_i)
     interfere, distinct ones add incoherently.
     """
-    return _coherent_mass(_projected_coefficients(state, setting),
-                          [(t.ell_s, t.ell_i) for t in state.terms])
+    _, merged = merge_modes(_projected_coefficients(state, setting),
+                            [(t.ell_s, t.ell_i) for t in state.terms])
+    return float(np.sum(np.abs(merged) ** 2))

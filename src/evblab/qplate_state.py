@@ -24,9 +24,9 @@ import numpy as np
 
 from .errors import UnsupportedCompositionError
 from .lgmodes import (
-    RadialProfile,
+    MAX_AZIMUTHAL_INDEX,
     azimuthal_bin_integrals,
-    evaluate,
+    radial_amplitudes,
     radial_overlap,
 )
 
@@ -57,8 +57,6 @@ BELL_STATES = {
     "psi_minus": np.array([0, 1, -1, 0], dtype=complex) / SQRT2,
 }
 BELL_LABELS = ("phi_plus", "phi_minus", "psi_plus", "psi_minus")
-
-_SECTOR_INDEX = {("L", "L"): 0, ("L", "R"): 1, ("R", "L"): 2, ("R", "R"): 3}
 
 
 # ---------------------------------------------------------------------------
@@ -103,10 +101,22 @@ class ModeTerm:
             raise ValueError("polarizations must be 'L' or 'R'")
         if not (np.isfinite(self.amp.real) and np.isfinite(self.amp.imag)):
             raise ValueError("amplitude must be finite")
+        for ell in (self.ell_s, self.ell_i):
+            if ell != int(ell):
+                raise ValueError(f"azimuthal index must be an integer, got {ell}")
+            if abs(ell) > MAX_AZIMUTHAL_INDEX:
+                raise ValueError(
+                    f"|ell| = {abs(ell)} exceeds the supported bound {MAX_AZIMUTHAL_INDEX}"
+                )
 
     @property
     def key(self):
         return (self.pol_s, self.pol_i, self.ell_s, self.ell_i)
+
+    @property
+    def sector(self) -> int:
+        """Index of the polarization sector in the (LL, LR, RL, RR) ordering."""
+        return 2 * (self.pol_s == "R") + (self.pol_i == "R")
 
 
 @dataclass(frozen=True)
@@ -123,8 +133,8 @@ class ModeSuperposition:
     waist_i: float = 10.0
 
     def __post_init__(self):
-        if not (self.waist_s > 0 and self.waist_i > 0):
-            raise ValueError("waists must be positive")
+        if not all(math.isfinite(w) and w > 0 for w in (self.waist_s, self.waist_i)):
+            raise ValueError("waists must be positive and finite")
         keys = [t.key for t in self.terms]
         if len(set(keys)) != len(keys):
             raise ValueError("duplicate mode terms; build via from_terms()")
@@ -261,11 +271,11 @@ def local_spinor(state: ModeSuperposition, r_s, theta_s, r_i, theta_i) -> np.nda
     r_s, theta_s, r_i, theta_i = _check_coords(r_s, theta_s, r_i, theta_i)
     shape = np.broadcast_shapes(r_s.shape, theta_s.shape, r_i.shape, theta_i.shape)
     out = np.zeros(shape + (4,), dtype=complex)
-    for t in state.terms:
-        fs = evaluate(RadialProfile(t.ell_s, state.waist_s), r_s)
-        fi = evaluate(RadialProfile(t.ell_i, state.waist_i), r_i)
+    fs = radial_amplitudes([abs(t.ell_s) for t in state.terms], state.waist_s, r_s)
+    fi = radial_amplitudes([abs(t.ell_i) for t in state.terms], state.waist_i, r_i)
+    for t, f_s, f_i in zip(state.terms, fs, fi):
         phase = np.exp(1j * (t.ell_s * theta_s + t.ell_i * theta_i))
-        out[..., _SECTOR_INDEX[(t.pol_s, t.pol_i)]] += t.amp * fs * fi * phase
+        out[..., t.sector] += t.amp * f_s * f_i * phase
     return out
 
 
@@ -294,9 +304,19 @@ def term_projections(state: ModeSuperposition, kets) -> np.ndarray:
     ``kets`` has shape (..., 4) in the (HH, HV, VH, VV) basis; the result has
     shape (..., n_terms) and holds <ket | pol sector of term k> * amp_k.
     """
-    sector = [_SECTOR_INDEX[(t.pol_s, t.pol_i)] for t in state.terms]
+    sector = [t.sector for t in state.terms]
     amp = np.array([t.amp for t in state.terms], dtype=complex)
     return (np.asarray(kets).conj() @ CIRC_TO_LIN)[..., sector] * amp
+
+
+def merge_modes(coeffs, keys):
+    """Coherent merge of equal modes: the distinct rows of the integer array
+    ``keys`` (one row per coefficient, sorted) and the sum of the coefficients
+    sharing each row.  Equal modes interfere, and may cancel exactly."""
+    keys, inv = np.unique(np.asarray(keys, dtype=int), axis=0, return_inverse=True)
+    merged = np.zeros(len(keys), dtype=complex)
+    np.add.at(merged, inv.ravel(), coeffs)
+    return keys, merged
 
 
 def bin_mass(coeffs, rad_s, ang_s, rad_i, ang_i) -> np.ndarray:

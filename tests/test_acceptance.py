@@ -34,7 +34,7 @@ from evblab.eventsim import (
     generate_run,
     read_events,
 )
-from evblab.lgmodes import RadialProfile, evaluate
+from evblab.lgmodes import radial_amplitudes
 from evblab.polarimetry import standard_set
 from evblab.qplate_state import (
     BELL_LABELS,
@@ -90,9 +90,8 @@ def test_criterion_1_tuned_closure():
         for qs, qi in combos:
             state = evb_state(*plates(qs, qi))
             got = bell_probabilities(state, RS, TS, RI, TI)
-            f = evaluate(RadialProfile(int(round(2 * qs)), 1.0), RS) * evaluate(
-                RadialProfile(int(round(2 * qi)), 1.0), RI
-            )
+            f = (radial_amplitudes([abs(round(2 * qs))], 1.0, RS)[0]
+                 * radial_amplitudes([abs(round(2 * qi))], 1.0, RI)[0])
             a = 2 * (qs * TS - qi * TI)
             np.testing.assert_allclose(got.p_phi_plus, f**2 * np.sin(a) ** 2, atol=1e-10)
             np.testing.assert_allclose(got.p_psi_minus, f**2 * np.cos(a) ** 2, atol=1e-10)
@@ -111,10 +110,8 @@ def test_criterion_2_partially_tuned_closure():
         for qs, qi in [(0.5, 0.5), (0.5, 1.0), (-0.5, 1.0), (1.0, 1.0)]:
             state = evb_state(*plates(qs, qi, delta=math.pi / 2))
             got = bell_probabilities(state, RS, TS, RI, TI)
-            f0s = evaluate(RadialProfile(0, 1.0), RS)
-            f0i = evaluate(RadialProfile(0, 1.0), RI)
-            fqs = evaluate(RadialProfile(int(round(2 * qs)), 1.0), RS)
-            fqi = evaluate(RadialProfile(int(round(2 * qi)), 1.0), RI)
+            f0s, fqs = radial_amplitudes([0, abs(round(2 * qs))], 1.0, RS)
+            f0i, fqi = radial_amplitudes([0, abs(round(2 * qi))], 1.0, RI)
             a = 2 * (qs * TS - qi * TI)
             np.testing.assert_allclose(
                 got.p_phi_plus, 0.25 * (fqs * fqi) ** 2 * np.sin(a) ** 2, atol=1e-10

@@ -58,6 +58,13 @@ def test_simulate_opposite_charges_antidiagonal_pattern(tmp_path):
     np.testing.assert_allclose(psim, np.cos(TS + TI) ** 2, atol=1e-9)
 
 
+def test_plate_charge_beyond_mode_bound_exits_1(tmp_path, capsys):
+    # |q| = 4.5 makes |l| = 9 > 8: every path that builds the state rejects it
+    for cmd in ("simulate", "generate"):
+        assert run_cli(cmd, "--qs", "4.5", "--qi", "0.5", "--out", str(tmp_path / cmd)) == 1
+        assert "exceeds the supported bound 8" in capsys.readouterr().err
+
+
 def test_generate_requires_positive_duration(tmp_path):
     rc = run_cli("generate", "--qs", "0.5", "--qi", "0.5", "--pairs", "0",
                  "--out", str(tmp_path / "run"))

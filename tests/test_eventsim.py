@@ -31,7 +31,7 @@ from evblab.polarimetry import (
     setting_from_label,
     standard_set,
 )
-from evblab.lgmodes import RadialProfile, evaluate
+from evblab.lgmodes import radial_amplitudes
 from evblab.qplate_state import JONES, QPlateParams, evb_state
 
 
@@ -214,8 +214,9 @@ def relative_angle_oracle(state, setting, r_edges, xi_edges):
                   * np.vdot(setting.proj_i, JONES[t.pol_i]) for t in state.terms])
 
     def radial_integral(ell_a, ell_b, waist, lo, hi):
-        fa, fb = RadialProfile(ell_a, waist), RadialProfile(ell_b, waist)
-        return quad(lambda r: evaluate(fa, r) * evaluate(fb, r) * r, lo, hi, limit=200)[0]
+        ells = [abs(ell_a), abs(ell_b)]
+        return quad(lambda r: np.prod(radial_amplitudes(ells, waist, r)) * r, lo, hi,
+                    limit=200)[0]
 
     mass = np.zeros((len(r_edges) - 1, len(xi_edges) - 1))
     for k, tk in enumerate(state.terms):
@@ -304,8 +305,8 @@ def density_ratio_reference(sampler, r_s, th_s, r_i, th_i):
     proposal never draws such a point."""
 
     def modes(ells, waist, r, theta):
-        return np.array([evaluate(RadialProfile(int(l), waist), r) * np.exp(1j * float(l) * theta)
-                         for l in ells])
+        return (radial_amplitudes(np.abs(ells), waist, r)
+                * np.exp(1j * np.multiply.outer(np.asarray(ells, dtype=float), theta)))
 
     fields = (modes(sampler.ell_s, sampler.waist_s, r_s, th_s)
               * modes(sampler.ell_i, sampler.waist_i, r_i, th_i))

@@ -6,9 +6,7 @@ from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
 
 from evblab.lgmodes import (
-    RadialProfile,
     azimuthal_bin_integrals,
-    evaluate,
     radial_amplitudes,
     radial_bin_overlaps,
     radial_overlap,
@@ -18,22 +16,21 @@ from evblab.qplate_state import ModeSuperposition, ModeTerm, local_spinor
 
 def l2_norm_quadrature(ell, waist):
     """Independent oracle: adaptive quadrature of |F|^2 * 2 pi r."""
-    prof = RadialProfile(ell, waist)
-    val, _ = quad(lambda r: evaluate(prof, r) ** 2 * 2 * math.pi * r,
+    val, _ = quad(lambda r: radial_amplitudes([abs(ell)], waist, r)[0] ** 2 * 2 * math.pi * r,
                   0, 30 * waist, limit=200)
     return val
 
 
 def test_gaussian_peak_value_at_origin():
     # sqrt(2/pi) for ell=0, w=1 at r=0
-    assert evaluate(RadialProfile(0, 1.0), 0.0) == pytest.approx(
+    assert radial_amplitudes([0], 1.0, 0.0)[0] == pytest.approx(
         math.sqrt(2 / math.pi), abs=1e-12
     )
 
 
 def test_vortex_null_at_origin():
-    assert evaluate(RadialProfile(1, 1.0), 0.0) == 0.0
-    assert evaluate(RadialProfile(-3, 2.0), 0.0) == 0.0
+    assert radial_amplitudes([1], 1.0, 0.0)[0] == 0.0
+    assert radial_amplitudes([3], 2.0, 0.0)[0] == 0.0
 
 
 def test_unit_norm_ell2():
@@ -49,10 +46,9 @@ def test_unit_norm_all_indices(ell, waist):
 @pytest.mark.parametrize("ell", [1, 2, 5, 8])
 def test_peak_location(ell):
     w = 2.5
-    prof = RadialProfile(ell, w)
     r_star = w * math.sqrt(ell / 2)
     r = np.linspace(1e-3, 6 * w, 20001)
-    assert abs(r[np.argmax(evaluate(prof, r))] - r_star) < 2e-3 * w
+    assert abs(r[np.argmax(radial_amplitudes([ell], w, r)[0])] - r_star) < 2e-3 * w
 
 
 def signal_mode(ell, waist, r, theta):
@@ -67,52 +63,37 @@ def signal_mode(ell, waist, r, theta):
                                          waist_s=waist, waist_i=w_i)
     v = local_spinor(state, r, theta, np.zeros_like(np.asarray(r, dtype=float)), 0.0)
     assert np.all(v[..., [0, 2, 3]] == 0)
-    return v[..., 1] / evaluate(RadialProfile(0, w_i), 0.0)
+    return v[..., 1] / radial_amplitudes([0], w_i, 0.0)[0]
 
 
 def test_mode_amplitude_phases():
-    prof0 = RadialProfile(0, 1.0)
+    f0, f1 = radial_amplitudes([0, 1], 1.0, 1.0)
     for theta in (0.0, 1.0, 4.0):
         assert signal_mode(0, 1.0, 1.0, theta).imag == 0.0
-    prof1 = RadialProfile(1, 1.0)
     val = signal_mode(1, 1.0, 1.0, math.pi / 2)
-    assert val == pytest.approx(evaluate(prof1, 1.0) * 1j, abs=1e-12)
-    prof_m2 = RadialProfile(-2, 1.0)
+    assert val == pytest.approx(f1 * 1j, abs=1e-12)
     val = signal_mode(-2, 1.0, 0.7, math.pi / 4)
-    expected = evaluate(prof_m2, 0.7) * np.exp(-1j * math.pi / 2)
+    expected = radial_amplitudes([2], 1.0, 0.7)[0] * np.exp(-1j * math.pi / 2)
     assert val == pytest.approx(expected, abs=1e-12)
-    assert signal_mode(0, 1.0, 1.0, 4.0) == pytest.approx(evaluate(prof0, 1.0), abs=1e-12)
+    assert signal_mode(0, 1.0, 1.0, 4.0) == pytest.approx(f0, abs=1e-12)
 
 
 @given(
     ell=st.integers(min_value=-8, max_value=8),
     r=st.floats(min_value=0.0, max_value=30.0),
+    theta=st.floats(min_value=0.0, max_value=2 * math.pi),
 )
 @settings(max_examples=200, deadline=None)
-def test_conjugate_symmetry(ell, r):
+def test_conjugate_symmetry(ell, r, theta):
     # F_l = F_-l, so the modes F_l(r) exp(+-i l theta) are complex conjugates
     w = 1.7
-    assert evaluate(RadialProfile(ell, w), r) == evaluate(RadialProfile(-ell, w), r)
+    assert signal_mode(ell, w, r, theta) == np.conj(signal_mode(-ell, w, r, theta))
 
 
 def test_modulus_matches_radial_part():
-    prof = RadialProfile(3, 1.3)
     r = np.linspace(0, 8, 50)
     amp = signal_mode(3, 1.3, r, 0.9)
-    assert np.allclose(np.abs(amp), evaluate(prof, r), atol=1e-14)
-
-
-def test_invalid_arguments():
-    with pytest.raises(ValueError):
-        RadialProfile(1, -1.0)
-    with pytest.raises(ValueError):
-        RadialProfile(1, math.nan)
-    with pytest.raises(ValueError):
-        RadialProfile(9, 1.0)  # sanity bound
-    with pytest.raises(ValueError):
-        evaluate(RadialProfile(1, 1.0), -0.5)
-    with pytest.raises(ValueError):
-        evaluate(RadialProfile(1, 1.0), math.inf)
+    assert np.allclose(np.abs(amp), radial_amplitudes([3], 1.3, r)[0], atol=1e-14)
 
 
 def test_radial_overlap_orthonormal_and_cross():
@@ -129,8 +110,7 @@ def test_radial_overlap_closed_form_matches_quadrature(ell_a):
     for ell_b in range(-8, 9):
         for waist in (1.0, 3.0):
             oracle, _ = quad(
-                lambda r: evaluate(RadialProfile(ell_a, waist), r)
-                * evaluate(RadialProfile(ell_b, waist), r) * r,
+                lambda r: np.prod(radial_amplitudes([ell_a, abs(ell_b)], waist, r)) * r,
                 0, math.inf, limit=200,
             )
             assert radial_overlap(ell_a, ell_b) == pytest.approx(oracle, abs=1e-10)

@@ -5,11 +5,10 @@ import pytest
 from scipy.integrate import dblquad
 
 from evblab.coincidence import PolarBinning
-from evblab.lgmodes import RadialProfile, evaluate
+from evblab.lgmodes import radial_amplitudes
 from evblab.polarimetry import (
     MeasurementSetting,
     expected_histogram,
-    orthogonal_jones,
     pass_probability,
     set_from_labels,
     setting_from_label,
@@ -77,13 +76,6 @@ def test_setting_label_validation():
         MeasurementSetting("HH", JONES["H"] * 2.0, JONES["H"])
 
 
-def test_orthogonal_jones():
-    for name, v in JONES.items():
-        o = orthogonal_jones(v)
-        assert abs(np.vdot(v, o)) < 1e-14
-        assert np.vdot(o, o).real == pytest.approx(1.0, abs=1e-14)
-
-
 # ---------------------------------------------------------------------------
 # Densities
 
@@ -99,7 +91,7 @@ def test_epr_density_hh_zero_hv_half_gaussian():
     state = epr_state(waist_s=W, waist_i=W)
     hh = setting_from_label("HH")
     hv = setting_from_label("HV")
-    f2 = (evaluate(RadialProfile(0, W), 0.4) * evaluate(RadialProfile(0, W), 0.9)) ** 2
+    f2 = np.prod(radial_amplitudes([0], W, [0.4, 0.9])) ** 2
     assert coincidence_density(state, hh, 0.4, 0.1, 0.9, 2.0) == pytest.approx(0.0, abs=1e-15)
     assert coincidence_density(state, hv, 0.4, 0.1, 0.9, 2.0) == pytest.approx(
         f2 / 2, abs=1e-12
@@ -114,7 +106,7 @@ def test_tuned_hh_density_sine_law():
     for _ in range(50):
         rs, ri = rng.uniform(0.1, 2.5, 2)
         ts, ti = rng.uniform(0, 2 * math.pi, 2)
-        f2 = (evaluate(RadialProfile(1, W), rs) * evaluate(RadialProfile(1, W), ri)) ** 2
+        f2 = np.prod(radial_amplitudes([1], W, [rs, ri])) ** 2
         want = f2 * math.sin(ts - ti) ** 2 / 2
         assert coincidence_density(state, hh, rs, ts, ri, ti) == pytest.approx(
             want, abs=1e-12
@@ -124,14 +116,13 @@ def test_tuned_hh_density_sine_law():
 def test_projector_completeness_pointwise():
     state = evb_state(*plates(0.5, 1.0, delta=math.pi / 2))
     rng = np.random.default_rng(3)
-    for label in ("HH", "AR", "RL", "DV"):
-        s = setting_from_label(label)
-        comp_s = orthogonal_jones(s.proj_s)
-        comp_i = orthogonal_jones(s.proj_i)
+    # each analyzer with its complement, from the orthogonal pairs of JONES
+    complement = {"H": "V", "V": "H", "A": "D", "D": "A", "L": "R", "R": "L"}
+    for a, b in ("HH", "AR", "RL", "DV"):
         quad = [
-            MeasurementSetting("HH", ps, pi)
-            for ps in (s.proj_s, comp_s)
-            for pi in (s.proj_i, comp_i)
+            setting_from_label(ps + pi)
+            for ps in (a, complement[a])
+            for pi in (b, complement[b])
         ]
         rs, ri = rng.uniform(0.1, 2.0, 2)
         ts, ti = rng.uniform(0, 2 * math.pi, 2)
@@ -196,7 +187,7 @@ def test_expected_histogram_matches_quadrature_oracle():
 
     from scipy.integrate import quad
 
-    radial, _ = quad(lambda r: evaluate(RadialProfile(1, W), r) ** 2 * r, 0, 5.0)
+    radial, _ = quad(lambda r: radial_amplitudes([1], W, r)[0] ** 2 * r, 0, 5.0)
     width = 2 * math.pi / 8
     for (a, bb) in [(0, 0), (1, 5), (3, 2)]:
         ang, _ = dblquad(

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from evblab.errors import UnsupportedCompositionError
-from evblab.lgmodes import RadialProfile, evaluate
+from evblab.lgmodes import radial_amplitudes
 from evblab.qplate_state import (
     BELL_LABELS,
     JONES,
@@ -31,9 +31,8 @@ def plates(qs, qi, delta=math.pi, waist=1.0):
 
 def tuned_bell_oracle(qs, qi, r_s, th_s, r_i, th_i, waist=1.0):
     """Closed-form Bell probabilities for two fully converting plates."""
-    f = evaluate(RadialProfile(int(round(2 * qs)), waist), r_s) * evaluate(
-        RadialProfile(int(round(2 * qi)), waist), r_i
-    )
+    f = (radial_amplitudes([abs(round(2 * qs))], waist, r_s)[0]
+         * radial_amplitudes([abs(round(2 * qi))], waist, r_i)[0])
     a = 2 * (qs * th_s - qi * th_i)
     return {
         "phi_plus": f**2 * np.sin(a) ** 2,
@@ -51,10 +50,8 @@ def half_converting_bell_oracle(qs, qi, r_s, th_s, r_i, th_i, waist=1.0):
     completeness of the Bell basis (the four probabilities must sum to the
     local norm).
     """
-    f0s = evaluate(RadialProfile(0, waist), r_s)
-    f0i = evaluate(RadialProfile(0, waist), r_i)
-    fqs = evaluate(RadialProfile(int(round(2 * qs)), waist), r_s)
-    fqi = evaluate(RadialProfile(int(round(2 * qi)), waist), r_i)
+    f0s, fqs = radial_amplitudes([0, abs(round(2 * qs))], waist, r_s)
+    f0i, fqi = radial_amplitudes([0, abs(round(2 * qi))], waist, r_i)
     a = 2 * (qs * th_s - qi * th_i)
     return {
         "phi_plus": 0.25 * (fqs * fqi) ** 2 * np.sin(a) ** 2,
@@ -91,7 +88,7 @@ def test_epr_state_amplitudes():
 def test_epr_state_is_singlet_in_linear_basis():
     state = epr_state(waist_s=1.0, waist_i=1.0)
     v = local_spinor_linear(state, 0.3, 0.2, 0.4, 1.1)
-    f = evaluate(RadialProfile(0, 1.0), 0.3) * evaluate(RadialProfile(0, 1.0), 0.4)
+    f = np.prod(radial_amplitudes([0], 1.0, [0.3, 0.4]))
     singlet = np.array([0, 1, -1, 0]) / math.sqrt(2)
     overlap = abs(np.vdot(singlet, v)) ** 2 / f**2
     assert overlap == pytest.approx(1.0, abs=1e-12)
@@ -150,8 +147,17 @@ def test_qplate_params_validation():
         QPlateParams(0.3)  # not a half-integer
     with pytest.raises(ValueError):
         QPlateParams(0.5, delta=4.0)
-    with pytest.raises(ValueError):
-        QPlateParams(0.5, waist=0.0)
+    for waist in (0.0, -1.0, math.nan):
+        with pytest.raises(ValueError):
+            QPlateParams(0.5, waist=waist)
+    for waist in (-1.0, math.nan, math.inf):
+        with pytest.raises(ValueError, match="waists"):
+            ModeSuperposition.from_terms([ModeTerm("L", "R", 0, 0, 1.0)], waist_i=waist)
+    # every term of every state obeys the sanity bound |l| <= 8
+    with pytest.raises(ValueError, match="bound 8"):
+        ModeTerm("L", "R", 9, 0, 1.0)
+    with pytest.raises(ValueError, match="bound 8"):
+        evb_state(*plates(0.5, -4.5))
 
 
 # ---------------------------------------------------------------------------
@@ -206,7 +212,8 @@ def test_local_spinor_mode_phases():
         state = ModeSuperposition.from_terms([ModeTerm("L", "R", ell_s, ell_i, 1.0)],
                                              waist_s=1.0, waist_i=1.3)
         v = local_spinor(state, r_s, th_s, r_i, th_i)
-        f = evaluate(RadialProfile(ell_s, 1.0), r_s) * evaluate(RadialProfile(ell_i, 1.3), r_i)
+        f = (radial_amplitudes([abs(ell_s)], 1.0, r_s)[0]
+             * radial_amplitudes([abs(ell_i)], 1.3, r_i)[0])
         np.testing.assert_allclose(v[:, 1], f * np.exp(1j * (ell_s * th_s + ell_i * th_i)),
                                    rtol=0, atol=1e-14)
         np.testing.assert_allclose(np.abs(v[:, 1]), f, rtol=0, atol=1e-14)
@@ -228,6 +235,10 @@ def test_local_spinor_rejects_bad_coordinates():
         local_spinor(state, -1.0, 0.0, 1.0, 0.0)
     with pytest.raises(ValueError):
         local_spinor(state, 1.0, math.nan, 1.0, 0.0)
+    with pytest.raises(ValueError):
+        local_spinor(state, 1.0, 0.0, -0.5, 0.0)
+    with pytest.raises(ValueError):
+        local_spinor(state, math.inf, 0.0, 1.0, 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -274,7 +285,7 @@ def test_bell_basis_completeness_pointwise():
 def test_tuned_special_angles():
     state = evb_state(*plates(0.5, 0.5))
     w = 1.0
-    f2 = (evaluate(RadialProfile(1, w), 0.8) * evaluate(RadialProfile(1, w), 1.1)) ** 2
+    f2 = np.prod(radial_amplitudes([1], w, [0.8, 1.1])) ** 2
     same = bell_probabilities(state, 0.8, 1.3, 1.1, 1.3)
     assert same.p_psi_minus == pytest.approx(f2, abs=1e-12)
     assert same.p_phi_plus == pytest.approx(0.0, abs=1e-12)
