@@ -39,7 +39,7 @@ class PolarBinning:
 
     Centroids may be left unset at construction but must be set before
     binning, to one pair shared by all settings of a run
-    (:func:`pooled_centroids`).
+    (:func:`pooled_centroids`).  Equal binnings share grid and centroids.
     """
 
     n_r: int = 5
@@ -47,7 +47,6 @@ class PolarBinning:
     r_max: float = 20.0
     centroid_s: tuple[float, float] | None = None
     centroid_i: tuple[float, float] | None = None
-    store_full: bool = False
 
     def __post_init__(self):
         if self.n_r < 1 or self.n_theta < 1:
@@ -64,26 +63,27 @@ class PolarBinning:
 
 @dataclass
 class CoincidenceHistogram:
-    """Pair counts binned over polar coordinates for one measurement setting.
+    """Angular and radial pair-count maps of one measurement setting.
 
-    counts_theta sums over radius, counts_r over angle; counts_full (optional)
-    is the dense (n_r*n_theta) x (n_r*n_theta) joint histogram with the
-    signal/idler flat index r_bin * n_theta + theta_bin.
+    counts_theta[theta_s, theta_i] sums over radius, counts_r[r_s, r_i] over
+    angle; the one joint histogram is the pixel-pair :class:`PixelPairHistogram`.
     """
 
     setting: str
     binning: PolarBinning
     counts_theta: np.ndarray
     counts_r: np.ndarray
-    counts_full: np.ndarray | None
     total_pairs: int
-    total_singles: int
-    dropped_by_radius: int
-    skipped_outside_roi: int
-    total_events: int
+    total_singles: int = 0
+    dropped_by_radius: int = 0
+    skipped_outside_roi: int = 0
+    total_events: int = 0
+    # the bookkeeping counts, in serialization order
+    _COUNT_FIELDS = ("total_pairs", "total_singles", "dropped_by_radius",
+                     "skipped_outside_roi", "total_events")
 
     def to_dict(self) -> dict:
-        d = {
+        return {
             "setting": self.setting,
             "n_r": self.binning.n_r,
             "n_theta": self.binning.n_theta,
@@ -92,38 +92,23 @@ class CoincidenceHistogram:
             "centroid_i": list(self.binning.centroid_i or ()),
             "counts_theta": self.counts_theta.tolist(),
             "counts_r": self.counts_r.tolist(),
-            "total_pairs": int(self.total_pairs),
-            "total_singles": int(self.total_singles),
-            "dropped_by_radius": int(self.dropped_by_radius),
-            "skipped_outside_roi": int(self.skipped_outside_roi),
-            "total_events": int(self.total_events),
+            **{k: int(getattr(self, k)) for k in self._COUNT_FIELDS},
         }
-        if self.counts_full is not None:
-            d["counts_full"] = self.counts_full.tolist()
-        return d
 
     @classmethod
     def from_dict(cls, d: dict) -> "CoincidenceHistogram":
-        binning = PolarBinning(
-            n_r=d["n_r"],
-            n_theta=d["n_theta"],
-            r_max=d["r_max"],
-            centroid_s=tuple(d["centroid_s"]) or None,
-            centroid_i=tuple(d["centroid_i"]) or None,
-            store_full="counts_full" in d,
-        )
-        full = np.asarray(d["counts_full"]) if "counts_full" in d else None
         return cls(
             setting=d["setting"],
-            binning=binning,
+            binning=PolarBinning(
+                n_r=d["n_r"],
+                n_theta=d["n_theta"],
+                r_max=d["r_max"],
+                centroid_s=tuple(d["centroid_s"]) or None,
+                centroid_i=tuple(d["centroid_i"]) or None,
+            ),
             counts_theta=np.asarray(d["counts_theta"]),
             counts_r=np.asarray(d["counts_r"]),
-            counts_full=full,
-            total_pairs=d["total_pairs"],
-            total_singles=d["total_singles"],
-            dropped_by_radius=d["dropped_by_radius"],
-            skipped_outside_roi=d["skipped_outside_roi"],
-            total_events=d["total_events"],
+            **{k: d[k] for k in cls._COUNT_FIELDS},
         )
 
 
@@ -391,19 +376,11 @@ def bin_polar(result: MatchResult, binning: PolarBinning, setting: str = "") -> 
     flat_r = rb_s[keep] * nr + rb_i[keep]
     counts_r = np.bincount(flat_r, minlength=nr * nr).reshape(nr, nr)
 
-    counts_full = None
-    if binning.store_full:
-        n = nr * nt
-        fs = rb_s[keep] * nt + tb_s[keep]
-        fi = rb_i[keep] * nt + tb_i[keep]
-        counts_full = np.bincount(fs * n + fi, minlength=n * n).reshape(n, n)
-
     return CoincidenceHistogram(
         setting=setting,
         binning=binning,
         counts_theta=counts_theta,
         counts_r=counts_r,
-        counts_full=counts_full,
         total_pairs=int(keep.sum()),
         total_singles=result.n_singles,
         dropped_by_radius=dropped,

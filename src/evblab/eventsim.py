@@ -28,10 +28,9 @@ import numpy as np
 
 from .errors import ConfigurationError, FormatError, SamplingError
 from .lgmodes import radial_amplitudes
-from .qplate_state import ModeSuperposition, QPlateParams, evb_state, merge_modes
+from .qplate_state import ModeSuperposition, QPlateParams, evb_state, merge_modes, term_projections
 from .polarimetry import (
     MeasurementSetting,
-    _projected_coefficients,
     pass_probability,
     setting_from_label,
     standard_set,
@@ -208,6 +207,8 @@ def default_manifest(qplate_s: QPlateParams, qplate_i: QPlateParams,
                      noise: NoiseModel | None = None, rng_seed: int = 0,
                      geometry: CameraGeometry | None = None) -> RunManifest:
     """Manifest over the standard tomography set with one file per setting."""
+    if not pair_rate > 0:
+        raise ValueError("pair rate must be positive")
     labels = standard_set().labels
     geometry = geometry or CameraGeometry(waist_px=qplate_s.waist)
     return RunManifest(
@@ -370,7 +371,7 @@ class PairPositionSampler:
 
 def projected_sampler(state: ModeSuperposition, setting: MeasurementSetting) -> PairPositionSampler:
     """Sampler for the conditional position density given both analyzers pass."""
-    coeffs = _projected_coefficients(state, setting)
+    coeffs = term_projections(state, setting.ket)
     ells_s = [t.ell_s for t in state.terms]
     ells_i = [t.ell_i for t in state.terms]
     return PairPositionSampler(coeffs, ells_s, ells_i, [0] * len(coeffs),

@@ -41,7 +41,7 @@ PAULI_PRODUCTS = np.array([np.kron(a, b) for a in PAULIS for b in PAULIS])
 
 @dataclass(frozen=True)
 class MeasurementSetting:
-    """One polarization projector pair, e.g. label "AR"."""
+    """One polarization projector pair, e.g. label "AR", with product ket ``ket``."""
 
     label: str
     proj_s: np.ndarray
@@ -53,6 +53,10 @@ class MeasurementSetting:
         for p in (self.proj_s, self.proj_i):
             if abs(np.vdot(p, p).real - 1.0) > 1e-12:
                 raise ValueError("projector Jones vectors must be unit norm")
+
+    @property
+    def ket(self) -> np.ndarray:
+        return np.kron(self.proj_s, self.proj_i)
 
 
 @dataclass(frozen=True)
@@ -70,7 +74,7 @@ class TomographySet:
     def __post_init__(self):
         if len(self.settings) != 16:
             raise ValueError(f"need 16 settings, got {len(self.settings)}")
-        kets = np.array([np.kron(s.proj_s, s.proj_i) for s in self.settings])
+        kets = np.array([s.ket for s in self.settings])
         design = np.einsum("ki,gij,kj->kg", kets.conj(), PAULI_PRODUCTS, kets).real
         kets.flags.writeable = False
         design.flags.writeable = False
@@ -125,11 +129,6 @@ def set_from_labels(labels) -> TomographySet:
 # ---------------------------------------------------------------------------
 # Analytic statistics
 
-def _projected_coefficients(state: ModeSuperposition, setting: MeasurementSetting):
-    """Per-term complex coefficient after projecting both polarizations."""
-    return term_projections(state, np.kron(setting.proj_s, setting.proj_i))
-
-
 def expected_histogram(state: ModeSuperposition, setting: MeasurementSetting,
                        binning: PolarBinning, n_pairs: float) -> CoincidenceHistogram:
     """Bin-integrated expected coincidence counts for ``n_pairs`` source pairs.
@@ -138,7 +137,7 @@ def expected_histogram(state: ModeSuperposition, setting: MeasurementSetting,
     bins, scaled by n_pairs; summing a complete projector set over all space
     recovers n_pairs. Counts are floats (expectations, not samples).
     """
-    coeffs = _projected_coefficients(state, setting)
+    coeffs = term_projections(state, setting.ket)
     ell_s = np.array([t.ell_s for t in state.terms])
     ell_i = np.array([t.ell_i for t in state.terms])
     Rs = radial_bin_overlaps(ell_s, state.waist_s, binning.r_edges())
@@ -151,22 +150,13 @@ def expected_histogram(state: ModeSuperposition, setting: MeasurementSetting,
 
     counts_theta = n_pairs * bin_mass(coeffs, total(Rs), Ts, total(Ri), Ti)[0, :, 0, :]
     counts_r = n_pairs * bin_mass(coeffs, Rs, total(Ts), Ri, total(Ti))[:, 0, :, 0]
-    counts_full = None
-    if binning.store_full:
-        n = binning.n_r * binning.n_theta
-        counts_full = (n_pairs * bin_mass(coeffs, Rs, Ts, Ri, Ti)).reshape(n, n)
 
     return CoincidenceHistogram(
         setting=setting.label,
         binning=binning,
         counts_theta=counts_theta,
         counts_r=counts_r,
-        counts_full=counts_full,
         total_pairs=float(counts_theta.sum()),
-        total_singles=0,
-        dropped_by_radius=0,
-        skipped_outside_roi=0,
-        total_events=0,
     )
 
 
@@ -176,6 +166,6 @@ def pass_probability(state: ModeSuperposition, setting: MeasurementSetting) -> f
     Uses orthonormality of the spatial modes: terms sharing (ell_s, ell_i)
     interfere, distinct ones add incoherently.
     """
-    _, merged = merge_modes(_projected_coefficients(state, setting),
+    _, merged = merge_modes(term_projections(state, setting.ket),
                             [(t.ell_s, t.ell_i) for t in state.terms])
     return float(np.sum(np.abs(merged) ** 2))

@@ -358,14 +358,10 @@ def angular_tomography(histograms, tset: TomographySet, mle: bool = False,
         missing = sorted(set(tset.labels) - set(by_label))
         raise ConfigurationError(f"missing histograms for settings: {missing}")
     ref = by_label[tset.labels[0]].binning
-    for h in histograms:
-        b = h.binning
-        if (b.n_theta, b.n_r, b.r_max) != (ref.n_theta, ref.n_r, ref.r_max):
-            raise ConfigurationError("histograms do not share one binning")
-        # Shared centroids matter: per-setting centroid jitter flips pixels
-        # lying on bin edges inconsistently between settings.
-        if b.centroid_s != ref.centroid_s or b.centroid_i != ref.centroid_i:
-            raise ConfigurationError("histograms were binned about different centroids")
+    # Shared centroids matter: per-setting centroid jitter flips pixels
+    # lying on bin edges inconsistently between settings.
+    if any(h.binning != ref for h in histograms):
+        raise ConfigurationError("histograms do not share one binning and centroid pair")
 
     n_theta = ref.n_theta
     counts = np.stack([np.asarray(by_label[l].counts_theta, dtype=float).ravel()

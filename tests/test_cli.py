@@ -71,6 +71,20 @@ def test_generate_requires_positive_duration(tmp_path):
     assert rc == 1
 
 
+@pytest.mark.parametrize("rate", ["0", "-5"])
+def test_generate_rejects_nonpositive_pair_rate(tmp_path, rate):
+    out = tmp_path / "run"
+    proc = subprocess.run(
+        [sys.executable, "-m", "evblab.cli", "generate", "--qs", "0.5", "--qi", "0.5",
+         "--pairs", "100", "--pair-rate", rate, "--out", str(out)],
+        capture_output=True, text=True,
+    )
+    assert proc.returncode == 1
+    assert "error: pair rate must be positive" in proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert not out.exists()
+
+
 def test_generate_deterministic_across_thread_env(tmp_path, monkeypatch):
     args = ["generate", "--qs", "0.5", "--qi", "1", "--pairs", "3000",
             "--seed", "5", "--jitter-ns", "0.5"]

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -408,12 +409,7 @@ def _hist_for(label, counts_theta, binning):
         binning=binning,
         counts_theta=counts_theta,
         counts_r=np.zeros((binning.n_r, binning.n_r)),
-        counts_full=None,
         total_pairs=int(counts_theta.sum()),
-        total_singles=0,
-        dropped_by_radius=0,
-        skipped_outside_roi=0,
-        total_events=0,
     )
 
 
@@ -455,19 +451,24 @@ def test_angular_tomography_low_statistics_flagging():
     assert tomo.bins_used == 15
 
 
-def test_angular_tomography_binning_mismatch_rejected():
+@pytest.mark.parametrize("grid", [{"n_theta": 8}, {"n_r": 3}, {"r_max": 25.0}],
+                         ids=["n_theta", "n_r", "r_max"])
+def test_angular_tomography_binning_mismatch_rejected(grid):
     rho = werner(0.9)
     hists = synthetic_histograms(lambda i, j: rho, 4, flux=4000)
-    other = PolarBinning(n_theta=8, centroid_s=(0, 0), centroid_i=(0, 0))
-    hists[3] = _hist_for(hists[3].setting, np.zeros((8, 8)), other)
+    other = replace(hists[3].binning, **grid)
+    counts = np.zeros((other.n_theta, other.n_theta))
+    hists[3] = _hist_for(hists[3].setting, counts, other)
     with pytest.raises(ConfigurationError):
         angular_tomography(hists, TSET)
 
 
-def test_angular_tomography_centroid_mismatch_rejected():
+@pytest.mark.parametrize("centroids", [{"centroid_s": (0.5, 0)}, {"centroid_i": (0, 0.5)}],
+                         ids=["centroid_s", "centroid_i"])
+def test_angular_tomography_centroid_mismatch_rejected(centroids):
     rho = werner(0.9)
     hists = synthetic_histograms(lambda i, j: rho, 4, flux=4000)
-    moved = PolarBinning(n_theta=4, centroid_s=(0.5, 0), centroid_i=(0, 0))
+    moved = replace(hists[3].binning, **centroids)
     hists[3] = _hist_for(hists[3].setting, hists[3].counts_theta, moved)
     with pytest.raises(ConfigurationError):
         angular_tomography(hists, TSET)
