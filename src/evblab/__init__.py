@@ -11,7 +11,6 @@ whole chain.
 """
 
 from .qplate_state import (
-    BellProbabilities,
     ModeSuperposition,
     ModeTerm,
     QPlateParams,

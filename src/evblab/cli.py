@@ -1,13 +1,15 @@
 """Command-line pipeline: simulate | generate | coincide | tomo | report.
 
 Exit codes: 0 success, 1 runtime or data error, 2 usage error.  Every output
-bundle echoes the effective configuration for provenance, and all commands
-are deterministic given their configuration and seed.
+bundle echoes its parsed flags for provenance, and all commands are
+deterministic given their configuration and seed.  A subcommand creates its
+output directory only once its flags and inputs have been checked.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import sys
@@ -50,6 +52,19 @@ def _writejson(path: Path, payload: dict) -> None:
     path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
+def _write_maps(out: Path, maps: dict, prefix: str = "") -> None:
+    """Each angular map as <prefix><name>.csv and .pgm, one row per theta_s bin."""
+    for name, m in maps.items():
+        write_csv_matrix(out / f"{prefix}{name}.csv", m, header=f"{name}; rows are theta_s bins")
+        write_pgm(out / f"{prefix}{name}.pgm", m)
+
+
+def _config(args) -> dict:
+    """The subcommand's parsed flags, minus the subcommand and its directories:
+    the configuration each output bundle echoes."""
+    return {k: v for k, v in vars(args).items() if k not in ("command", "func", "in", "out")}
+
+
 def _plates(args) -> tuple[QPlateParams, QPlateParams]:
     waist = args.waist_px
     return (
@@ -62,31 +77,23 @@ def _plates(args) -> tuple[QPlateParams, QPlateParams]:
 # Subcommands
 
 def cmd_simulate(args) -> int:
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     plate_s, plate_i = _plates(args)
     state = evb_state(plate_s, plate_i)
     maps, centers = bell_probability_map(
         state, args.ntheta, average_over_bins=args.average_bins
     )
-    for name in BELL_LABELS:
-        write_csv_matrix(out / f"bell_{name}.csv", maps[name],
-                         header=f"{name}; rows are theta_s bins")
-        write_pgm(out / f"bell_{name}.pgm", maps[name])
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
+    _write_maps(out, maps, "bell_")
     write_csv_matrix(
         out / "torus.csv",
         torus_coordinates(maps, centers),
         header="theta_s,theta_i,x,y,z," + ",".join(BELL_LABELS),
     )
     _writejson(out / "bell_maps.json", {
-        "config": {
-            "qs": args.qs, "qi": args.qi,
-            "delta_s": args.delta_s, "delta_i": args.delta_i,
-            "waist_px": args.waist_px, "ntheta": args.ntheta,
-            "average_bins": args.average_bins,
-        },
+        "config": _config(args),
         "theta_centers": centers.tolist(),
-        "maps": {name: maps[name].tolist() for name in BELL_LABELS},
+        "maps": {name: m.tolist() for name, m in maps.items()},
         "version": __version__,
     })
     print(f"wrote Bell maps ({args.ntheta}x{args.ntheta}) to {out}")
@@ -128,23 +135,15 @@ def _load_run(run_dir: Path) -> tuple[RunManifest, dict]:
 
 
 def cmd_coincide(args) -> int:
-    run_dir = Path(getattr(args, "in"))
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    manifest, paths = _load_run(run_dir)
     config = CoincidenceConfig(window=args.window_ns)
+    binning = PolarBinning(n_r=args.nr, n_theta=args.ntheta, r_max=args.r_max)
+    manifest, paths = _load_run(Path(getattr(args, "in")))
     # One setting's events in memory at a time: a streaming pass for the
     # pooled centroids, then one file per setting.
     centroid_s, centroid_i = pooled_centroids(
         (read_events(p) for p in paths.values()), manifest.geometry
     )
-    binning = PolarBinning(
-        n_r=args.nr,
-        n_theta=args.ntheta,
-        r_max=args.r_max,
-        centroid_s=centroid_s,
-        centroid_i=centroid_i,
-    )
+    binning = dataclasses.replace(binning, centroid_s=centroid_s, centroid_i=centroid_i)
     bundle = {}
     for label, path in paths.items():
         streams = split_rois(read_events(path), manifest.geometry)
@@ -162,14 +161,10 @@ def cmd_coincide(args) -> int:
         bundle[label] = hist.to_dict()
         print(f"{label}: {hist.total_pairs} pairs ({hist.total_singles} singles, "
               f"{hist.dropped_by_radius} beyond r_max, {result.n_contended} contended)")
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
     _writejson(out / "histograms.json", {
-        "config": {
-            "window_ns": args.window_ns,
-            "ntheta": args.ntheta,
-            "nr": args.nr,
-            "r_max": args.r_max,
-            "subtract_accidentals": args.subtract_accidentals,
-        },
+        "config": _config(args),
         "centroid_s": list(centroid_s),
         "centroid_i": list(centroid_i),
         "settings": bundle,
@@ -181,8 +176,6 @@ def cmd_coincide(args) -> int:
 
 def cmd_tomo(args) -> int:
     in_dir = Path(getattr(args, "in"))
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     bundle_path = in_dir / "histograms.json"
     if not bundle_path.exists():
         raise FormatError(f"no histograms.json in {in_dir}")
@@ -194,18 +187,12 @@ def cmd_tomo(args) -> int:
     tomo = angular_tomography(
         hists, tset, mle=args.mle, min_counts=args.min_counts
     )
-    _writejson(out / "tomography.json", {
-        "config": {"mle": args.mle, "min_counts": args.min_counts},
-        **tomo.to_dict(),
-        "version": __version__,
-    })
-    for name in ("concurrence", "purity"):
-        m = tomo.metric_map(name)
-        write_csv_matrix(out / f"{name}.csv", m, header=f"{name}; rows are theta_s bins")
-        write_pgm(out / f"{name}.pgm", m)
-    for name, m in tomo.bell_maps().items():
-        write_csv_matrix(out / f"bell_{name}.csv", m, header=f"{name}; rows are theta_s bins")
-        write_pgm(out / f"bell_{name}.pgm", m)
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
+    _writejson(out / "tomography.json", {"config": _config(args), **tomo.to_dict(),
+                                         "version": __version__})
+    _write_maps(out, {name: tomo.metric_map(name) for name in ("concurrence", "purity")})
+    _write_maps(out, tomo.bell_maps(), "bell_")
     print(f"average concurrence {tomo.average_concurrence:.4f} "
           f"+/- {tomo.concurrence_se:.4f} over {tomo.bins_used} bins")
     if tomo.mle:
@@ -217,8 +204,6 @@ def cmd_tomo(args) -> int:
 def cmd_report(args) -> int:
     tomo_dir = Path(getattr(args, "in"))
     maps_dir = Path(args.analytic)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     tomo_path = tomo_dir / "tomography.json"
     maps_path = maps_dir / "bell_maps.json"
     for p in (tomo_path, maps_path):
@@ -267,6 +252,8 @@ def cmd_report(args) -> int:
         "band_ok": band_ok,
         "version": __version__,
     }
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
     _writejson(out / "report.json", report)
     text = "\n".join(lines) + "\n"
     (out / "report.txt").write_text(text)

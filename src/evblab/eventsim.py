@@ -168,8 +168,8 @@ class RunManifest:
     qplate_i: QPlateParams
 
     def __post_init__(self):
-        if not self.duration > 0:
-            raise ValueError("duration must be positive")
+        if not 0 < self.duration < math.inf:
+            raise ValueError("duration must be positive and finite")
         if not self.pair_rate >= 0:
             raise ValueError("pair rate must be nonnegative")
         names = list(self.settings.values())
@@ -207,8 +207,10 @@ def default_manifest(qplate_s: QPlateParams, qplate_i: QPlateParams,
                      noise: NoiseModel | None = None, rng_seed: int = 0,
                      geometry: CameraGeometry | None = None) -> RunManifest:
     """Manifest over the standard tomography set with one file per setting."""
-    if not pair_rate > 0:
-        raise ValueError("pair rate must be positive")
+    if not 0 < pair_rate < math.inf:
+        raise ValueError("pair rate must be positive and finite")
+    if not 0 < n_pairs < math.inf:
+        raise ValueError("pairs must be positive and finite")
     labels = standard_set().labels
     geometry = geometry or CameraGeometry(waist_px=qplate_s.waist)
     return RunManifest(
@@ -519,9 +521,9 @@ def generate_run(manifest: RunManifest, out_dir) -> list[dict]:
     from pathlib import Path
 
     workers = _worker_count()
+    state = evb_state(manifest.qplate_s, manifest.qplate_i)
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    state = evb_state(manifest.qplate_s, manifest.qplate_i)
     labels = list(manifest.settings)
     children = np.random.SeedSequence(manifest.rng_seed).spawn(len(labels))
 

@@ -31,12 +31,10 @@ def read_csv_matrix(path) -> np.ndarray:
     return np.asarray(rows)
 
 
-def write_pgm(path, matrix: np.ndarray, vmax: float = 1.0) -> None:
-    """8-bit binary PGM heatmap; values clipped to [0, vmax], NaN -> 0."""
-    m = np.asarray(matrix, dtype=float)
-    m = np.nan_to_num(m, nan=0.0)
-    scaled = np.clip(m / vmax, 0.0, 1.0)
-    pixels = np.rint(scaled * 255).astype(np.uint8)
+def write_pgm(path, matrix: np.ndarray) -> None:
+    """8-bit binary PGM heatmap; values clipped to [0, 1], NaN -> 0."""
+    m = np.nan_to_num(np.asarray(matrix, dtype=float), nan=0.0)
+    pixels = np.rint(np.clip(m, 0.0, 1.0) * 255).astype(np.uint8)
     h, w = pixels.shape
     with open(path, "wb") as fh:
         fh.write(f"P5\n{w} {h}\n255\n".encode())

@@ -156,32 +156,6 @@ class ModeSuperposition:
         return float(sum(abs(t.amp) ** 2 for t in self.terms))
 
 
-@dataclass(frozen=True)
-class BellProbabilities:
-    """Probabilities (or probability densities) for the four Bell states."""
-
-    p_phi_plus: float | np.ndarray
-    p_phi_minus: float | np.ndarray
-    p_psi_plus: float | np.ndarray
-    p_psi_minus: float | np.ndarray
-
-    def as_array(self) -> np.ndarray:
-        """Stack in the canonical order (phi+, phi-, psi+, psi-)."""
-        return np.stack(
-            [
-                np.asarray(self.p_phi_plus),
-                np.asarray(self.p_phi_minus),
-                np.asarray(self.p_psi_plus),
-                np.asarray(self.p_psi_minus),
-            ]
-        )
-
-    def total(self):
-        return (
-            self.p_phi_plus + self.p_phi_minus + self.p_psi_plus + self.p_psi_minus
-        )
-
-
 # ---------------------------------------------------------------------------
 # State construction
 
@@ -285,14 +259,15 @@ def local_spinor_linear(state, r_s, theta_s, r_i, theta_i) -> np.ndarray:
     return v @ CIRC_TO_LIN.T
 
 
-def bell_probabilities(state, r_s, theta_s, r_i, theta_i) -> BellProbabilities:
-    """|<B|psi(x)>|^2 for the four Bell states at the given coordinates."""
+def bell_probabilities(state, r_s, theta_s, r_i, theta_i) -> dict:
+    """|<B|psi(x)>|^2 for the four Bell states at the given coordinates, keyed
+    by label in BELL_LABELS order: floats at one point, arrays on a grid."""
     v = local_spinor_linear(state, r_s, theta_s, r_i, theta_i)
     probs = {}
-    for name, b in BELL_STATES.items():
-        amp = v @ b.conj()
-        probs["p_" + name] = np.abs(amp) ** 2 if np.ndim(amp) else abs(amp) ** 2
-    return BellProbabilities(**probs)
+    for name in BELL_LABELS:
+        p = np.abs(v @ BELL_STATES[name].conj()) ** 2
+        probs[name] = float(p) if np.ndim(p) == 0 else p
+    return probs
 
 
 # ---------------------------------------------------------------------------
@@ -374,17 +349,17 @@ def bell_probability_map(state: ModeSuperposition, n_theta: int,
     return {name: m / total for name, m in zip(BELL_LABELS, mass)}, centers
 
 
-def torus_coordinates(maps: dict, theta_centers: np.ndarray, ring_radius: float = 2.0,
-                      tube_radius: float = 1.0) -> np.ndarray:
-    """Map the angular grid onto a torus for 3D rendering of the Bell maps.
+def torus_coordinates(maps: dict, theta_centers: np.ndarray) -> np.ndarray:
+    """Map the angular grid onto a torus (ring radius 2, tube radius 1) for
+    3D rendering of the Bell maps.
 
     Returns a record-like float array with one row per (theta_s, theta_i)
     grid point: theta_s, theta_i, x, y, z, then the four Bell probabilities.
     """
     ts, ti = np.meshgrid(theta_centers, theta_centers, indexing="ij")
-    x = (ring_radius + tube_radius * np.cos(ti)) * np.cos(ts)
-    y = (ring_radius + tube_radius * np.cos(ti)) * np.sin(ts)
-    z = tube_radius * np.sin(ti)
+    x = (2.0 + np.cos(ti)) * np.cos(ts)
+    y = (2.0 + np.cos(ti)) * np.sin(ts)
+    z = np.sin(ti)
     cols = [ts.ravel(), ti.ravel(), x.ravel(), y.ravel(), z.ravel()]
     cols += [maps[name].ravel() for name in BELL_LABELS]
     return np.column_stack(cols)

@@ -21,7 +21,7 @@ from .errors import (
     InsufficientDataError,
 )
 from .polarimetry import PAULI_PRODUCTS, PAULIS, TomographySet
-from .qplate_state import BELL_LABELS, BELL_STATES, BellProbabilities
+from .qplate_state import BELL_LABELS, BELL_STATES
 
 _YY = np.kron(PAULIS[2], PAULIS[2]).real
 _BELL_KETS = np.array([BELL_STATES[name] for name in BELL_LABELS])
@@ -252,13 +252,12 @@ def purity(rho: np.ndarray):
     return _float_or_array(np.real(np.trace(rho @ rho, axis1=-2, axis2=-1)))
 
 
-def bell_decomposition(rho: np.ndarray) -> BellProbabilities:
-    """Diagonal Bell-state overlaps <B|rho|B>; fields are floats for one
-    matrix and per-matrix arrays for a stack."""
+def bell_decomposition(rho: np.ndarray) -> dict:
+    """Diagonal Bell-state overlaps <B|rho|B> keyed by label in BELL_LABELS
+    order: floats for one matrix, per-matrix arrays for a stack."""
     rho = assert_physical(rho)
     p = np.einsum("bi,...ij,bj->b...", _BELL_KETS.conj(), rho, _BELL_KETS).real
-    return BellProbabilities(**{"p_" + name: _float_or_array(v)
-                                for name, v in zip(BELL_LABELS, p)})
+    return {name: _float_or_array(v) for name, v in zip(BELL_LABELS, p)}
 
 
 def fidelity(rho: np.ndarray, sigma: np.ndarray) -> float:
@@ -284,7 +283,7 @@ class TomographyResult:
     rho: np.ndarray | None
     concurrence: float
     purity: float
-    bell_probs: BellProbabilities | None
+    bell: dict | None  # label -> Bell overlap
     mle_iterations: int | None = None  # None without MLE
     mle_gradient_norm: float | None = None  # stationarity norm at exit
 
@@ -295,10 +294,8 @@ class TomographyResult:
         if self.rho is not None:
             d["rho_re"] = np.real(self.rho).ravel().tolist()
             d["rho_im"] = np.imag(self.rho).ravel().tolist()
-        if self.bell_probs is not None:
-            d["bell"] = {
-                name: getattr(self.bell_probs, "p_" + name) for name in BELL_LABELS
-            }
+        if self.bell is not None:
+            d["bell"] = self.bell
         return d
 
 
@@ -325,8 +322,7 @@ class AngularTomography:
         out = np.full((self.n_theta, self.n_theta), np.nan)
         for r in self.results:
             if not r.low_statistics:
-                out[r.bin_s, r.bin_i] = (getattr(r.bell_probs, "p_" + name)
-                                         if name in BELL_LABELS else getattr(r, name))
+                out[r.bin_s, r.bin_i] = r.bell[name] if name in BELL_LABELS else getattr(r, name)
         return out
 
     def bell_maps(self) -> dict:
@@ -376,7 +372,7 @@ def angular_tomography(histograms, tset: TomographySet, mle: bool = False,
         mle_record = [(int(i), float(g)) for i, g in zip(iters, gnorm)]
     conc = concurrence(rhos)
     pur = purity(rhos)
-    bell = bell_decomposition(rhos).as_array()  # (4, n_used)
+    bell = bell_decomposition(rhos)  # label -> (n_used,) array
 
     results = [TomographyResult(*divmod(k, n_theta), t, True, None,
                                 float("nan"), float("nan"), None)
@@ -384,7 +380,7 @@ def angular_tomography(histograms, tset: TomographySet, mle: bool = False,
     for n, k in enumerate(used):
         results[k] = TomographyResult(
             *divmod(k, n_theta), totals[k], False, rhos[n], float(conc[n]),
-            float(pur[n]), BellProbabilities(*(float(p) for p in bell[:, n])),
+            float(pur[n]), {name: float(p[n]) for name, p in bell.items()},
             *mle_record[n])
 
     w = np.array([totals[k] for k in used], dtype=float)

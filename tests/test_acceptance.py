@@ -93,10 +93,10 @@ def test_criterion_1_tuned_closure():
             f = (radial_amplitudes([abs(round(2 * qs))], 1.0, RS)[0]
                  * radial_amplitudes([abs(round(2 * qi))], 1.0, RI)[0])
             a = 2 * (qs * TS - qi * TI)
-            np.testing.assert_allclose(got.p_phi_plus, f**2 * np.sin(a) ** 2, atol=1e-10)
-            np.testing.assert_allclose(got.p_psi_minus, f**2 * np.cos(a) ** 2, atol=1e-10)
-            assert np.max(got.p_phi_minus) <= 1e-10
-            assert np.max(got.p_psi_plus) <= 1e-10
+            np.testing.assert_allclose(got["phi_plus"], f**2 * np.sin(a) ** 2, atol=1e-10)
+            np.testing.assert_allclose(got["psi_minus"], f**2 * np.cos(a) ** 2, atol=1e-10)
+            assert np.max(got["phi_minus"]) <= 1e-10
+            assert np.max(got["psi_plus"]) <= 1e-10
         assert time.time() - t0 < 5.0
 
 
@@ -114,16 +114,16 @@ def test_criterion_2_partially_tuned_closure():
             f0i, fqi = radial_amplitudes([0, abs(round(2 * qi))], 1.0, RI)
             a = 2 * (qs * TS - qi * TI)
             np.testing.assert_allclose(
-                got.p_phi_plus, 0.25 * (fqs * fqi) ** 2 * np.sin(a) ** 2, atol=1e-10
+                got["phi_plus"], 0.25 * (fqs * fqi) ** 2 * np.sin(a) ** 2, atol=1e-10
             )
             np.testing.assert_allclose(
-                got.p_phi_minus,
+                got["phi_minus"],
                 0.25 * (f0s * fqi * np.sin(2 * qi * TI)
                         - fqs * f0i * np.sin(2 * qs * TS)) ** 2,
                 atol=1e-10,
             )
             np.testing.assert_allclose(
-                got.p_psi_plus,
+                got["psi_plus"],
                 0.25 * (f0s * fqi * np.cos(2 * qi * TI)
                         - fqs * f0i * np.cos(2 * qs * TS)) ** 2,
                 atol=1e-10,
@@ -132,11 +132,11 @@ def test_criterion_2_partially_tuned_closure():
             # of the double angle (forced by composing the plate action twice
             # and by completeness; see the decisions ledger)
             np.testing.assert_allclose(
-                got.p_psi_minus, 0.25 * (f0s * f0i + fqs * fqi * np.cos(a)) ** 2,
+                got["psi_minus"], 0.25 * (f0s * f0i + fqs * fqi * np.cos(a)) ** 2,
                 atol=1e-10,
             )
             norm = np.sum(np.abs(local_spinor(state, RS, TS, RI, TI)) ** 2, axis=-1)
-            np.testing.assert_allclose(got.total(), norm, atol=1e-12)
+            np.testing.assert_allclose(sum(got[n] for n in BELL_LABELS), norm, atol=1e-12)
         assert time.time() - t0 < 5.0
 
 

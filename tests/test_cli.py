@@ -1,4 +1,5 @@
 import json
+import math
 import subprocess
 import sys
 
@@ -63,15 +64,20 @@ def test_plate_charge_beyond_mode_bound_exits_1(tmp_path, capsys):
     for cmd in ("simulate", "generate"):
         assert run_cli(cmd, "--qs", "4.5", "--qi", "0.5", "--out", str(tmp_path / cmd)) == 1
         assert "exceeds the supported bound 8" in capsys.readouterr().err
+        assert not (tmp_path / cmd).exists()
 
 
-def test_generate_requires_positive_duration(tmp_path):
-    rc = run_cli("generate", "--qs", "0.5", "--qi", "0.5", "--pairs", "0",
-                 "--out", str(tmp_path / "run"))
-    assert rc == 1
+def test_generate_requires_positive_duration(tmp_path, capsys):
+    # the error names the flag that was set, not the duration derived from it
+    for pairs in ("0", "-5", "inf"):
+        out = tmp_path / f"run{pairs}"
+        assert run_cli("generate", "--qs", "0.5", "--qi", "0.5", "--pairs", pairs,
+                       "--out", str(out)) == 1
+        assert "error: pairs must be positive" in capsys.readouterr().err
+        assert not out.exists()
 
 
-@pytest.mark.parametrize("rate", ["0", "-5"])
+@pytest.mark.parametrize("rate", ["0", "-5", "inf"])
 def test_generate_rejects_nonpositive_pair_rate(tmp_path, rate):
     out = tmp_path / "run"
     proc = subprocess.run(
@@ -319,3 +325,53 @@ def test_coincide_zero_event_files(tmp_path):
     assert all(
         np.array(d["counts_theta"]).sum() == 0 for d in bundle["settings"].values()
     )
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["simulate", "--qs", "0.5", "--qi", "0.5", "--ntheta", "3"], "need at least 4 angular bins"),
+    (["coincide", "--in", "{missing}"], "no manifest.json in"),
+    (["tomo", "--in", "{missing}"], "no histograms.json in"),
+    (["report", "--in", "{missing}", "--analytic", "{missing}"], "missing input"),
+    (["coincide", "--in", "{run}", "--ntheta", "0"], "need at least one bin per axis"),
+    (["coincide", "--in", "{run}", "--r-max", "-1"], "r_max must be positive"),
+], ids=["simulate-ntheta", "coincide-no-run", "tomo-no-bundle", "report-no-inputs",
+        "coincide-ntheta", "coincide-r-max"])
+def test_bad_input_leaves_no_output_directory(small_run, tmp_path, monkeypatch, capsys,
+                                              argv, message):
+    # flags and inputs are checked before any event file is read or --out is made
+    reads = []
+
+    def spy(path):
+        reads.append(path)
+        return read_events(path)
+
+    monkeypatch.setattr(cli, "read_events", spy)
+    out = tmp_path / "out"
+    argv = [a.format(run=small_run, missing=tmp_path / "missing") for a in argv]
+    assert main([*argv, "--out", str(out)]) == 1
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+    assert reads == []
+
+
+def test_bundles_echo_their_parsed_flags(small_run, tmp_path):
+    # each bundle's config is exactly its subcommand's flags, minus the
+    # directories; the JSON text pins the types too
+    sim, coinc, tomo = tmp_path / "sim", tmp_path / "coinc", tmp_path / "tomo"
+    assert main(["simulate", "--qs", "0.5", "--qi", "1", "--ntheta", "8",
+                 "--average-bins", "--out", str(sim)]) == 0
+    assert main(["coincide", "--in", str(small_run), "--out", str(coinc), "--ntheta", "4",
+                 "--nr", "3", "--r-max", "25", "--window-ns", "5"]) == 0
+    assert main(["tomo", "--in", str(coinc), "--out", str(tomo), "--mle",
+                 "--min-counts", "100"]) == 0
+    expected = {
+        sim / "bell_maps.json": {"qs": 0.5, "qi": 1.0, "delta_s": math.pi, "delta_i": math.pi,
+                                 "waist_px": 10.0, "ntheta": 8, "average_bins": True},
+        coinc / "histograms.json": {"window_ns": 5.0, "ntheta": 4, "nr": 3, "r_max": 25.0,
+                                    "subtract_accidentals": False},
+        tomo / "tomography.json": {"mle": True, "min_counts": 100},
+    }
+    for path, config in expected.items():
+        got = json.loads(path.read_text())["config"]
+        assert got == config
+        assert json.dumps(got, sort_keys=True) == json.dumps(config, sort_keys=True)

@@ -137,12 +137,13 @@ def test_manifest_validation():
             pair_rate=10.0, duration=1.0, noise=NoiseModel(),
             rng_seed=0, qplate_s=man.qplate_s, qplate_i=man.qplate_i,
         )
-    with pytest.raises(ValueError):
-        RunManifest(
-            geometry=man.geometry, settings={"HH": "a.evb"},
-            pair_rate=10.0, duration=0.0, noise=NoiseModel(),
-            rng_seed=0, qplate_s=man.qplate_s, qplate_i=man.qplate_i,
-        )
+    for duration in (0.0, math.inf):  # an infinite one would overflow the pair count
+        with pytest.raises(ValueError, match="duration must be positive and finite"):
+            RunManifest(
+                geometry=man.geometry, settings={"HH": "a.evb"},
+                pair_rate=10.0, duration=duration, noise=NoiseModel(),
+                rng_seed=0, qplate_s=man.qplate_s, qplate_i=man.qplate_i,
+            )
 
 
 # ---------------------------------------------------------------------------

@@ -70,7 +70,7 @@ def test_epr_reconstruction_is_pure_and_maximally_entangled(tmp_path):
     tomo = angular_tomography(hists, TSET, min_counts=200)
     assert tomo.average_purity == pytest.approx(1.0, abs=0.01)
     assert tomo.average_concurrence >= 0.99
-    assert tomo.result(0, 0).bell_probs.p_psi_minus > 0.99
+    assert tomo.result(0, 0).bell["psi_minus"] > 0.99
 
     # binned reconstructions stay near-pure too, degraded only by per-bin
     # counting noise (the singlet is angle-uniform)
@@ -80,7 +80,7 @@ def test_epr_reconstruction_is_pure_and_maximally_entangled(tmp_path):
     assert tomo4.average_purity >= 0.97
     assert tomo4.average_concurrence >= 0.97
     for r in tomo4.results:
-        assert r.bell_probs.p_psi_minus > 0.95
+        assert r.bell["psi_minus"] > 0.95
 
 
 def test_tuned_pipeline_diagonal_bins_are_psi_minus(tmp_path):
@@ -94,9 +94,9 @@ def test_tuned_pipeline_diagonal_bins_are_psi_minus(tmp_path):
     tomo = angular_tomography(hists, TSET, min_counts=200)
     for a in range(8):
         r = tomo.result(a, a)
-        assert r.bell_probs.p_psi_minus > 0.8
-        assert r.bell_probs.p_phi_minus < 0.1
-        assert r.bell_probs.p_psi_plus < 0.1
+        assert r.bell["psi_minus"] > 0.8
+        assert r.bell["phi_minus"] < 0.1
+        assert r.bell["psi_plus"] < 0.1
     maps = tomo.bell_maps()
     assert np.nanmax(maps["phi_minus"]) < 0.1
     assert np.nanmax(maps["psi_plus"]) < 0.1

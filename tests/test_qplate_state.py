@@ -253,9 +253,7 @@ def test_tuned_closure_on_grid(qs, qi):
     got = bell_probabilities(state, RS, TS, RI, TI)
     want = tuned_bell_oracle(qs, qi, RS, TS, RI, TI)
     for name in BELL_LABELS:
-        np.testing.assert_allclose(
-            getattr(got, "p_" + name), want[name], atol=1e-10
-        )
+        np.testing.assert_allclose(got[name], want[name], atol=1e-10)
 
 
 @pytest.mark.parametrize("qs,qi", [(0.5, 0.5), (0.5, 1.0), (-0.5, 1.0), (1.0, 1.0)])
@@ -267,9 +265,7 @@ def test_half_converting_closure_on_grid(qs, qi):
     got = bell_probabilities(state, RS, TS, RI, TI)
     want = half_converting_bell_oracle(qs, qi, RS, TS, RI, TI)
     for name in BELL_LABELS:
-        np.testing.assert_allclose(
-            getattr(got, "p_" + name), want[name], atol=1e-10
-        )
+        np.testing.assert_allclose(got[name], want[name], atol=1e-10)
 
 
 def test_bell_basis_completeness_pointwise():
@@ -277,7 +273,8 @@ def test_bell_basis_completeness_pointwise():
     rng = np.random.default_rng(0)
     r_s, r_i = rng.uniform(0.05, 2.5, (2, 200))
     th_s, th_i = rng.uniform(0, 2 * math.pi, (2, 200))
-    total = bell_probabilities(state, r_s, th_s, r_i, th_i).total()
+    got = bell_probabilities(state, r_s, th_s, r_i, th_i)
+    total = sum(got[name] for name in BELL_LABELS)
     norm = np.sum(np.abs(local_spinor(state, r_s, th_s, r_i, th_i)) ** 2, axis=-1)
     np.testing.assert_allclose(total, norm, atol=1e-12)
 
@@ -287,11 +284,11 @@ def test_tuned_special_angles():
     w = 1.0
     f2 = np.prod(radial_amplitudes([1], w, [0.8, 1.1])) ** 2
     same = bell_probabilities(state, 0.8, 1.3, 1.1, 1.3)
-    assert same.p_psi_minus == pytest.approx(f2, abs=1e-12)
-    assert same.p_phi_plus == pytest.approx(0.0, abs=1e-12)
+    assert same["psi_minus"] == pytest.approx(f2, abs=1e-12)
+    assert same["phi_plus"] == pytest.approx(0.0, abs=1e-12)
     quarter = bell_probabilities(state, 0.8, 1.3 + math.pi / 2, 1.1, 1.3)
-    assert quarter.p_phi_plus == pytest.approx(f2, abs=1e-12)
-    assert quarter.p_psi_minus == pytest.approx(0.0, abs=1e-12)
+    assert quarter["phi_plus"] == pytest.approx(f2, abs=1e-12)
+    assert quarter["psi_minus"] == pytest.approx(0.0, abs=1e-12)
 
 
 def test_charge_sign_flip_mirrors_angles():
@@ -300,9 +297,7 @@ def test_charge_sign_flip_mirrors_angles():
     a = bell_probabilities(evb_state(*plates(0.5, 1.0)), 1.0, TS, 1.0, TI)
     b = bell_probabilities(evb_state(*plates(-0.5, -1.0)), 1.0, -TS, 1.0, -TI)
     for name in BELL_LABELS:
-        np.testing.assert_allclose(
-            getattr(a, "p_" + name), getattr(b, "p_" + name), atol=1e-12
-        )
+        np.testing.assert_allclose(a[name], b[name], atol=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -362,7 +357,8 @@ def test_map_half_tuned_matches_radial_quadrature_oracle():
     r = 3.0 * (x + 1.0)  # [0, 6 waists]
     rw = 3.0 * w * r
     R_S, R_I, TS, TI = np.meshgrid(r, r, centers, centers, indexing="ij", sparse=True)
-    p = bell_probabilities(state, R_S, TS, R_I, TI).as_array()
+    got = bell_probabilities(state, R_S, TS, R_I, TI)
+    p = np.stack([got[name] for name in BELL_LABELS])
     oracle = np.einsum("bstxy,s,t->bxy", p, rw, rw)
     oracle /= oracle.sum(axis=0)
     for k, name in enumerate(BELL_LABELS):
@@ -372,7 +368,7 @@ def test_map_half_tuned_matches_radial_quadrature_oracle():
 def test_torus_coordinates_shape_and_radii():
     state = evb_state(*plates(0.5, 0.5))
     maps, centers = bell_probability_map(state, 8)
-    rows = torus_coordinates(maps, centers, ring_radius=2.0, tube_radius=1.0)
+    rows = torus_coordinates(maps, centers)
     assert rows.shape == (64, 9)
     x, y, z = rows[:, 2], rows[:, 3], rows[:, 4]
     tube = np.hypot(np.hypot(x, y) - 2.0, z)

@@ -12,7 +12,14 @@ from evblab.errors import (
     InsufficientDataError,
 )
 from evblab.polarimetry import standard_set
-from evblab.qplate_state import BELL_STATES
+from evblab.qplate_state import (
+    BELL_LABELS,
+    BELL_STATES,
+    QPlateParams,
+    bell_probabilities,
+    evb_state,
+    local_spinor_linear,
+)
 from evblab.tomography import (
     angular_tomography,
     assert_physical,
@@ -386,11 +393,39 @@ def test_purity_range():
 def test_bell_decomposition_examples():
     phi_plus = BELL_STATES["phi_plus"]
     probs = bell_decomposition(np.outer(phi_plus, phi_plus.conj()))
-    assert probs.p_phi_plus == pytest.approx(1.0, abs=1e-12)
-    assert probs.p_phi_minus == pytest.approx(0.0, abs=1e-12)
+    assert probs["phi_plus"] == pytest.approx(1.0, abs=1e-12)
+    assert probs["phi_minus"] == pytest.approx(0.0, abs=1e-12)
     mixed = bell_decomposition(np.eye(4) / 4)
-    for name in ("p_phi_plus", "p_phi_minus", "p_psi_plus", "p_psi_minus"):
-        assert getattr(mixed, name) == pytest.approx(0.25, abs=1e-12)
+    for name in ("phi_plus", "phi_minus", "psi_plus", "psi_minus"):
+        assert mixed[name] == pytest.approx(0.25, abs=1e-12)
+
+
+@given(st.integers(-4, 4).filter(bool), st.integers(-4, 4).filter(bool),
+       st.floats(0.0, math.pi), st.floats(0.0, math.pi), st.integers(0, 2**32 - 1))
+@settings(max_examples=60, deadline=None)
+def test_bell_decomposition_of_local_state_matches_bell_probabilities(
+        two_qs, two_qi, delta_s, delta_i, seed):
+    # the pointwise Bell densities, normalized, are the Bell overlaps of the
+    # normalized pure state psi(x) psi(x)^dagger at that point
+    state = evb_state(QPlateParams(two_qs / 2, delta_s), QPlateParams(two_qi / 2, delta_i))
+    rng = np.random.default_rng(seed)
+    r_s, r_i = rng.uniform(2.0, 30.0, (2, 16))
+    th_s, th_i = rng.uniform(0.0, 2 * math.pi, (2, 16))
+    probs = bell_probabilities(state, r_s, th_s, r_i, th_i)
+    psi = local_spinor_linear(state, r_s, th_s, r_i, th_i)
+    psi /= np.linalg.norm(psi, axis=-1, keepdims=True)
+    rho = psi[:, :, None] * psi[:, None, :].conj()
+    decomp = bell_decomposition(rho)
+    assert list(probs) == list(decomp) == list(BELL_LABELS)
+    total = sum(probs[name] for name in BELL_LABELS)
+    for name in BELL_LABELS:
+        np.testing.assert_allclose(probs[name] / total, decomp[name], rtol=0, atol=1e-12)
+    # one point and one matrix give floats
+    point = bell_probabilities(state, r_s[0], th_s[0], r_i[0], th_i[0])
+    one = bell_decomposition(rho[0])
+    for name in BELL_LABELS:
+        assert isinstance(point[name], float) and isinstance(one[name], float)
+        assert point[name] / sum(point.values()) == pytest.approx(one[name], abs=1e-12)
 
 
 def test_assert_physical_tolerances():
@@ -565,8 +600,10 @@ def test_angular_tomography_matches_per_bin_calls(mle):
         np.testing.assert_allclose(r.rho, rho, rtol=0, atol=1e-12)
         assert r.concurrence == pytest.approx(conc, abs=1e-12)
         assert r.purity == pytest.approx(pur, abs=1e-12)
-        np.testing.assert_allclose(r.bell_probs.as_array(), bell.as_array(), rtol=0, atol=1e-12)
-        assert isinstance(r.concurrence, float) and isinstance(r.bell_probs.p_phi_plus, float)
+        assert list(r.bell) == list(bell) == list(BELL_LABELS)
+        np.testing.assert_allclose([r.bell[n] for n in BELL_LABELS],
+                                   [bell[n] for n in BELL_LABELS], rtol=0, atol=1e-12)
+        assert isinstance(r.concurrence, float) and isinstance(r.bell["phi_plus"], float)
 
 
 def test_angular_tomography_counts_mle_nonconvergence():
