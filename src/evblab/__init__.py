@@ -14,10 +14,8 @@ from .qplate_state import (
     ModeSuperposition,
     ModeTerm,
     QPlateParams,
-    apply_qplate,
     bell_probabilities,
     bell_probability_map,
-    epr_state,
     evb_state,
     local_spinor,
 )

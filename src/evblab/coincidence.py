@@ -280,11 +280,14 @@ def accidental_estimate(events, geometry, config: CoincidenceConfig,
     """Coincidence count after shifting idler times by ``offset`` ns.
 
     Estimates the accidental (uncorrelated) pair rate; the offset must be
-    large compared to the window so no true pair survives the shift.
+    large compared to the window so no true pair survives the shift, and at
+    most 2**62 ns so that shifted times stay inside int64.
     ``events`` is a record array or its :func:`split_rois`.
     """
     if not offset >= 10 * config.window:
         raise ValueError("offset must be well outside the coincidence window")
+    if offset > 2**62:
+        raise ValueError(f"accidentals offset {offset:g} ns exceeds 2**62 ns")
     s = events if isinstance(events, RoiStreams) else split_rois(events, geometry)
     match = _match_multi if config.allow_multi_match else _match_greedy
     sidx, _, _ = match(s.t_s, s.t_i + int(round(offset)), config.window)

@@ -1,10 +1,6 @@
 """Exception types shared across the toolkit."""
 
 
-class UnsupportedCompositionError(ValueError):
-    """A q-plate was applied to a photon that already carries orbital angular momentum."""
-
-
 class SamplingError(RuntimeError):
     """Rejection sampling exhausted its attempt budget."""
 

@@ -172,6 +172,8 @@ class RunManifest:
             raise ValueError("duration must be positive and finite")
         if not self.pair_rate >= 0:
             raise ValueError("pair rate must be nonnegative")
+        if not self.rng_seed >= 0:
+            raise ValueError(f"seed must be nonnegative, got {self.rng_seed}")
         names = list(self.settings.values())
         if len(set(names)) != len(names):
             raise ValueError("event filenames must be distinct")
@@ -251,12 +253,12 @@ def read_events(path) -> np.ndarray:
             )
         if header["version"] != FORMAT_VERSION:
             raise FormatError(f"{path}: unsupported format version {header['version']}")
-        events = np.fromfile(fh, dtype=EVENT_DTYPE)
-    if len(events) != header["count"]:
-        raise FormatError(
-            f"{path}: header promises {header['count']} records, found {len(events)}"
-        )
-    return events
+        count = int(header["count"])
+        size = os.fstat(fh.fileno()).st_size
+        if size != HEADER_DTYPE.itemsize + EVENT_DTYPE.itemsize * count:
+            raise FormatError(f"{path}: header promises {count} records, "
+                              f"but the file holds {size} bytes")
+        return np.fromfile(fh, dtype=EVENT_DTYPE, count=count)
 
 
 # ---------------------------------------------------------------------------
@@ -407,8 +409,9 @@ def _tot(rng, m: int) -> np.ndarray:
 
 
 def _detect_photons(r, theta, centroid, t_true, noise: NoiseModel,
-                    geometry: CameraGeometry, rng) -> np.ndarray:
-    """Efficiency thinning, jitter, pixel mapping for one arm; returns records."""
+                    geometry: CameraGeometry, rng):
+    """Efficiency thinning, jitter, pixel mapping for one arm; returns the
+    (x, y, t, tot) columns of its records."""
     n = len(r)
     keep = rng.random(n) < noise.efficiency
     t = np.asarray(t_true, dtype=float)
@@ -416,26 +419,17 @@ def _detect_photons(r, theta, centroid, t_true, noise: NoiseModel,
         t = t + rng.normal(0.0, noise.jitter_sigma, size=n)
     x, y = _pixels(r, theta, centroid)
     keep &= (x >= 0) & (x < geometry.width) & (y >= 0) & (y < geometry.height)
-    m = int(keep.sum())
-    rec = np.zeros(m, dtype=EVENT_DTYPE)
-    rec["x"] = x[keep]
-    rec["y"] = y[keep]
-    rec["t"] = np.maximum(np.rint(t[keep]), 0.0).astype(np.uint64)
-    rec["tot"] = _tot(rng, m)
-    return rec
+    return (x[keep].astype(np.uint16), y[keep].astype(np.uint16),
+            np.maximum(np.rint(t[keep]), 0.0).astype(np.uint64), _tot(rng, int(keep.sum())))
 
 
-def _dark_events(noise: NoiseModel, geometry: CameraGeometry, duration_s: float,
-                 rng) -> np.ndarray:
+def _dark_events(noise: NoiseModel, geometry: CameraGeometry, duration_s: float, rng):
+    """Uniform dark counts over the sensor and the run, as (x, y, t, tot) columns."""
     mean = noise.dark_rate * duration_s * geometry.width * geometry.height
     n = int(rng.poisson(mean)) if mean > 0 else 0
-    rec = np.zeros(n, dtype=EVENT_DTYPE)
-    if n:
-        rec["x"] = rng.integers(0, geometry.width, size=n)
-        rec["y"] = rng.integers(0, geometry.height, size=n)
-        rec["t"] = rng.uniform(0.0, duration_s * 1e9, size=n).astype(np.uint64)
-        rec["tot"] = _tot(rng, n)
-    return rec
+    return (rng.integers(0, geometry.width, size=n).astype(np.uint16),
+            rng.integers(0, geometry.height, size=n).astype(np.uint16),
+            rng.uniform(0.0, duration_s * 1e9, size=n).astype(np.uint64), _tot(rng, n))
 
 
 def _time_order(t: np.ndarray) -> np.ndarray:
@@ -473,18 +467,22 @@ def generate_setting_events(state, setting: MeasurementSetting,
     if n_pairs_white > 0:
         chunks.append((intensity_sampler(state), n_pairs_white))
 
-    recs = []
+    cols = []
     for sampler, n in chunks:
         r_s, th_s, r_i, th_i = sampler.sample(n, rng)
         t_true = rng.uniform(0.0, duration_ns, size=n)
-        recs.append(_detect_photons(r_s, th_s, geometry.centroid_s, t_true,
+        cols.append(_detect_photons(r_s, th_s, geometry.centroid_s, t_true,
                                     noise, geometry, rng))
-        recs.append(_detect_photons(r_i, th_i, geometry.centroid_i, t_true,
+        cols.append(_detect_photons(r_i, th_i, geometry.centroid_i, t_true,
                                     noise, geometry, rng))
-    recs.append(_dark_events(noise, geometry, manifest.duration, rng))
+    cols.append(_dark_events(noise, geometry, manifest.duration, rng))
 
-    events = np.concatenate(recs)
-    events = events[_time_order(events["t"])]
+    # join and time-order plain columns; the structured records are built once
+    cols = [np.concatenate(c) for c in zip(*cols)]
+    order = _time_order(cols[2])
+    events = np.zeros(len(order), dtype=EVENT_DTYPE)
+    for name, col in zip(("x", "y", "t", "tot"), cols):
+        events[name] = col[order]
     stats = {
         "setting": setting.label,
         "source_pairs": n_source,

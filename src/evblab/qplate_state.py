@@ -1,7 +1,7 @@
 """Two-photon polarization/spatial state algebra.
 
-Builds the polarization-singlet input state, applies the first-order
-space-variant birefringent plate ("q-plate") action to each photon, and
+Builds the polarization-singlet input state sent through one first-order
+space-variant birefringent plate ("q-plate") per arm, in closed form, and
 evaluates the resulting space-varying two-qubit state: local spinors,
 Bell-state probability densities, and angular Bell probability maps.
 
@@ -22,7 +22,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import UnsupportedCompositionError
 from .lgmodes import (
     MAX_AZIMUTHAL_INDEX,
     azimuthal_bin_integrals,
@@ -159,68 +158,31 @@ class ModeSuperposition:
 # ---------------------------------------------------------------------------
 # State construction
 
-def epr_state(waist_s: float = 10.0, waist_i: float = 10.0) -> ModeSuperposition:
-    """Polarization-singlet input: (i/sqrt2)(|L,R> - |R,L>), Gaussian profiles.
-
-    The global phase i is kept in the amplitudes; it never affects any
-    probability downstream.
-    """
-    return ModeSuperposition.from_terms(
-        [
-            ModeTerm("L", "R", 0, 0, 1j / SQRT2),
-            ModeTerm("R", "L", 0, 0, -1j / SQRT2),
-        ],
-        waist_s=waist_s,
-        waist_i=waist_i,
-    )
-
-
-def apply_qplate(
-    state: ModeSuperposition, which: str, plate: QPlateParams
-) -> ModeSuperposition:
-    """Apply a plate to the signal or idler photon of every term.
-
-    The first-order plate model is defined only on Gaussian input, so the
-    photon being acted on must carry ell = 0 in every term; a second
-    application to a converted photon raises UnsupportedCompositionError.
-    """
-    if which not in ("signal", "idler"):
-        raise ValueError("which must be 'signal' or 'idler'")
-    on_signal = which == "signal"
-    survive = math.cos(plate.delta / 2.0)
-    convert = 1j * math.sin(plate.delta / 2.0)
-    shift = plate.ell_shift
-
-    out = []
-    for t in state.terms:
-        ell = t.ell_s if on_signal else t.ell_i
-        if ell != 0:
-            raise UnsupportedCompositionError(
-                "plate acting on a photon with nonzero azimuthal index; "
-                "the first-order model composes only on Gaussian input"
-            )
-        pol = t.pol_s if on_signal else t.pol_i
-        # L converts down by 2q, R converts up by 2q.
-        flipped = "R" if pol == "L" else "L"
-        new_ell = -shift if pol == "L" else shift
-        branches = [(pol, 0, survive * t.amp), (flipped, new_ell, convert * t.amp)]
-        for new_pol, nl, amp in branches:
-            if abs(amp) < 1e-14:
-                continue
-            if on_signal:
-                out.append(ModeTerm(new_pol, t.pol_i, nl, t.ell_i, amp))
-            else:
-                out.append(ModeTerm(t.pol_s, new_pol, t.ell_s, nl, amp))
-    waist_s = plate.waist if on_signal else state.waist_s
-    waist_i = plate.waist if not on_signal else state.waist_i
-    return ModeSuperposition.from_terms(out, waist_s=waist_s, waist_i=waist_i)
+def _plate_branches(pol: str, plate: QPlateParams):
+    """A Gaussian photon of handedness ``pol`` through one plate, as (pol, ell,
+    amplitude) branches: it survives unchanged, or flips handedness, L moving
+    down by 2q and R up by 2q."""
+    flipped, ell = ("R", -plate.ell_shift) if pol == "L" else ("L", plate.ell_shift)
+    return ((pol, 0, math.cos(plate.delta / 2.0)),
+            (flipped, ell, 1j * math.sin(plate.delta / 2.0)))
 
 
 def evb_state(plate_s: QPlateParams, plate_i: QPlateParams) -> ModeSuperposition:
-    """Entangled vector beam: singlet input sent through one plate per arm."""
-    state = epr_state(waist_s=plate_s.waist, waist_i=plate_i.waist)
-    state = apply_qplate(state, "signal", plate_s)
-    return apply_qplate(state, "idler", plate_i)
+    """Entangled vector beam: the polarization singlet (i/sqrt2)(|L,R> - |R,L>)
+    of Gaussian photons, sent through one plate per arm.
+
+    Each singlet term expands over both arms' branches; a plate with delta = 0
+    leaves its photon unchanged.  The global phase i never affects any
+    probability downstream.
+    """
+    terms = []
+    for pol_s, pol_i, amp in (("L", "R", 1j / SQRT2), ("R", "L", -1j / SQRT2)):
+        for new_s, ell_s, a_s in _plate_branches(pol_s, plate_s):
+            for new_i, ell_i, a_i in _plate_branches(pol_i, plate_i):
+                a = a_i * (a_s * amp)
+                if abs(a) >= 1e-14:
+                    terms.append(ModeTerm(new_s, new_i, ell_s, ell_i, a))
+    return ModeSuperposition.from_terms(terms, waist_s=plate_s.waist, waist_i=plate_i.waist)
 
 
 # ---------------------------------------------------------------------------
@@ -253,16 +215,10 @@ def local_spinor(state: ModeSuperposition, r_s, theta_s, r_i, theta_i) -> np.nda
     return out
 
 
-def local_spinor_linear(state, r_s, theta_s, r_i, theta_i) -> np.ndarray:
-    """Same as :func:`local_spinor` but in the (HH, HV, VH, VV) basis."""
-    v = local_spinor(state, r_s, theta_s, r_i, theta_i)
-    return v @ CIRC_TO_LIN.T
-
-
 def bell_probabilities(state, r_s, theta_s, r_i, theta_i) -> dict:
     """|<B|psi(x)>|^2 for the four Bell states at the given coordinates, keyed
     by label in BELL_LABELS order: floats at one point, arrays on a grid."""
-    v = local_spinor_linear(state, r_s, theta_s, r_i, theta_i)
+    v = local_spinor(state, r_s, theta_s, r_i, theta_i) @ CIRC_TO_LIN.T
     probs = {}
     for name in BELL_LABELS:
         p = np.abs(v @ BELL_STATES[name].conj()) ** 2

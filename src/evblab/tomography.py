@@ -306,7 +306,7 @@ class AngularTomography:
     n_theta: int
     results: list  # row-major list of TomographyResult
     average_concurrence: float
-    concurrence_se: float
+    concurrence_se: float  # count-weighted spread between bins, not a statistical error
     average_purity: float
     bins_used: int
     min_counts: int

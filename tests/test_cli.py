@@ -314,6 +314,15 @@ def test_coincide_splits_each_setting_once(small_run, tmp_path, monkeypatch):
     assert len(calls) == 16
 
 
+def test_coincide_rejects_accidentals_offset_beyond_int64(small_run, tmp_path, capsys):
+    # the accidentals shift is 1000 windows: 1e19 ns would overflow int64 times
+    out = tmp_path / "c"
+    assert main(["coincide", "--in", str(small_run), "--out", str(out),
+                 "--subtract-accidentals", "--window-ns", "1e16"]) == 1
+    assert "error: accidentals offset 1e+19 ns exceeds 2**62 ns" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_coincide_zero_event_files(tmp_path):
     # a run with efficiency 0 still produces valid (empty) histograms
     run_dir = tmp_path / "empty_run"
@@ -334,8 +343,10 @@ def test_coincide_zero_event_files(tmp_path):
     (["report", "--in", "{missing}", "--analytic", "{missing}"], "missing input"),
     (["coincide", "--in", "{run}", "--ntheta", "0"], "need at least one bin per axis"),
     (["coincide", "--in", "{run}", "--r-max", "-1"], "r_max must be positive"),
+    (["generate", "--qs", "0.5", "--qi", "0.5", "--seed", "-1"],
+     "seed must be nonnegative, got -1"),
 ], ids=["simulate-ntheta", "coincide-no-run", "tomo-no-bundle", "report-no-inputs",
-        "coincide-ntheta", "coincide-r-max"])
+        "coincide-ntheta", "coincide-r-max", "generate-seed"])
 def test_bad_input_leaves_no_output_directory(small_run, tmp_path, monkeypatch, capsys,
                                               argv, message):
     # flags and inputs are checked before any event file is read or --out is made

@@ -477,6 +477,10 @@ def test_accidental_estimate_requires_large_offset():
     ev = make_events([100], [105])
     with pytest.raises(ValueError):
         accidental_estimate(ev, GEO, CoincidenceConfig(window=10), offset=50)
+    # up to 2**62 ns, beyond which the shifted int64 idler times could overflow
+    assert accidental_estimate(ev, GEO, CoincidenceConfig(window=10), offset=2**62) == 0
+    with pytest.raises(ValueError, match="exceeds 2"):
+        accidental_estimate(ev, GEO, CoincidenceConfig(window=1e16), offset=1e19)
 
 
 def test_accidentals_vanish_for_true_pairs():

@@ -99,6 +99,15 @@ def test_read_rejects_truncation_and_version(tmp_path):
         read_events(path2)
 
 
+def test_read_rejects_trailing_bytes(tmp_path):
+    # a partial record after the promised ones is a malformed file, not padding
+    path = tmp_path / "long.evb"
+    write_events(path, np.zeros(5, dtype=EVENT_DTYPE))
+    path.write_bytes(path.read_bytes() + bytes(5))
+    with pytest.raises(FormatError, match=f"{path.name}: header promises 5 records"):
+        read_events(path)
+
+
 # ---------------------------------------------------------------------------
 # Geometry / noise / manifest
 
@@ -386,11 +395,9 @@ def test_time_order_is_stable_argsort(n):
 
 
 def test_sampler_rejects_empty_projection():
-    # the polarization-singlet passes HH with probability zero
-    from evblab.qplate_state import epr_state
-
+    # the polarization singlet (idle plates) passes HH with probability zero
     with pytest.raises(ValueError):
-        projected_sampler(epr_state(), setting_from_label("HH"))
+        projected_sampler(evb_state(*plates(0.5, 0.5, delta=0.0)), setting_from_label("HH"))
 
 
 # ---------------------------------------------------------------------------

@@ -15,12 +15,11 @@ from evblab.polarimetry import (
     standard_set,
 )
 from evblab.qplate_state import (
+    CIRC_TO_LIN,
     JONES,
     QPlateParams,
-    epr_state,
     evb_state,
     local_spinor,
-    local_spinor_linear,
 )
 
 W = 1.0
@@ -28,6 +27,11 @@ W = 1.0
 
 def plates(qs, qi, delta=math.pi):
     return QPlateParams(qs, delta, W), QPlateParams(qi, delta, W)
+
+
+def singlet():
+    """The polarization singlet: idle plates (delta = 0) on both arms."""
+    return evb_state(*plates(0.5, 0.5, delta=0.0))
 
 
 # ---------------------------------------------------------------------------
@@ -82,13 +86,13 @@ def test_setting_label_validation():
 def coincidence_density(state, setting, r_s, theta_s, r_i, theta_i):
     """Oracle: |<setting|psi(x)>|^2 from the local spinor, per r dr dtheta on
     each arm."""
-    amp = local_spinor_linear(state, r_s, theta_s, r_i, theta_i) @ np.kron(
+    amp = local_spinor(state, r_s, theta_s, r_i, theta_i) @ CIRC_TO_LIN.T @ np.kron(
         setting.proj_s, setting.proj_i).conj()
     return float(abs(amp) ** 2)
 
 
 def test_epr_density_hh_zero_hv_half_gaussian():
-    state = epr_state(waist_s=W, waist_i=W)
+    state = singlet()
     hh = setting_from_label("HH")
     hv = setting_from_label("HV")
     f2 = np.prod(radial_amplitudes([0], W, [0.4, 0.9])) ** 2
@@ -161,7 +165,7 @@ def binning(n_r=5, n_theta=16, r_max=5.0):
 
 
 def test_expected_histogram_zero_pairs():
-    state = epr_state(waist_s=W, waist_i=W)
+    state = singlet()
     h = expected_histogram(state, setting_from_label("HV"), binning(), 0)
     assert np.all(h.counts_theta == 0)
     assert np.all(h.counts_r == 0)
@@ -169,7 +173,7 @@ def test_expected_histogram_zero_pairs():
 
 def test_expected_histogram_epr_hv_covers_half():
     # single bin covering effectively all space: expect n_pairs / 2
-    state = epr_state(waist_s=W, waist_i=W)
+    state = singlet()
     b = PolarBinning(n_r=1, n_theta=1, r_max=8.0,
                      centroid_s=(0.0, 0.0), centroid_i=(0.0, 0.0))
     h = expected_histogram(state, setting_from_label("HV"), b, 1000)
@@ -236,7 +240,7 @@ def test_expected_histogram_full_mode_consistent():
 # Pass probabilities
 
 def test_pass_probability_examples():
-    epr = epr_state(waist_s=W, waist_i=W)
+    epr = singlet()
     assert pass_probability(epr, setting_from_label("HH")) == pytest.approx(0.0, abs=1e-12)
     assert pass_probability(epr, setting_from_label("HV")) == pytest.approx(0.5, abs=1e-12)
     tuned = evb_state(*plates(0.5, 0.5))

@@ -4,21 +4,18 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from evblab.errors import UnsupportedCompositionError
 from evblab.lgmodes import radial_amplitudes
 from evblab.qplate_state import (
     BELL_LABELS,
+    CIRC_TO_LIN,
     JONES,
     ModeSuperposition,
     ModeTerm,
     QPlateParams,
-    apply_qplate,
     bell_probabilities,
     bell_probability_map,
-    epr_state,
     evb_state,
     local_spinor,
-    local_spinor_linear,
     torus_coordinates,
 )
 
@@ -74,20 +71,39 @@ def test_jones_vectors_unit_norm_and_orthogonality():
     assert abs(np.vdot(JONES["H"], JONES["V"])) < 1e-15
 
 
+def jones_oracle_spinor(plate_s, plate_i, r_s, th_s, r_i, th_i):
+    """(J_s x J_i) (0, i, -i, 0)/sqrt2 in (LL, LR, RL, RR) order, with J of one
+    arm the 2x2 Jones matrix of the plate on a Gaussian photon, rows (L, R):
+    column L is (cos(d/2) F_0, i sin(d/2) F_|2q| e^(-i 2q th)), column R is
+    (i sin(d/2) F_|2q| e^(+i 2q th), cos(d/2) F_0)."""
+    def jones(plate, r, th):
+        f0, fq = radial_amplitudes([0, abs(plate.ell_shift)], plate.waist, r)
+        c = math.cos(plate.delta / 2) * f0
+        s = 1j * math.sin(plate.delta / 2) * fq
+        phase = np.exp(1j * plate.ell_shift * th)
+        return np.stack([np.stack([c, s * phase], -1), np.stack([s / phase, c], -1)], -2)
+
+    singlet = np.array([[0, 1j], [-1j, 0]]) / math.sqrt(2)  # rows pol_s, columns pol_i
+    psi = np.einsum("nac,nbd,cd->nab", jones(plate_s, r_s, th_s), jones(plate_i, r_i, th_i),
+                    singlet)
+    return psi.reshape(len(psi), 4)
+
+
 # ---------------------------------------------------------------------------
-# EPR state
+# Singlet input: delta = 0 on both arms
 
-def test_epr_state_amplitudes():
-    state = epr_state()
-    amps = {t.key: t.amp for t in state.terms}
-    assert amps[("L", "R", 0, 0)] == pytest.approx(1j / math.sqrt(2), abs=1e-15)
-    assert amps[("R", "L", 0, 0)] == pytest.approx(-1j / math.sqrt(2), abs=1e-15)
-    assert state.norm_squared() == pytest.approx(1.0, abs=1e-15)
+def test_unconverted_state_is_the_singlet():
+    singlet = {("L", "R", 0, 0): 1j / math.sqrt(2), ("R", "L", 0, 0): -1j / math.sqrt(2)}
+    for qs, qi in [(0.5, 0.5), (-1.0, 4.0), (0.0, -3.5)]:
+        state = evb_state(*plates(qs, qi, delta=0.0))
+        # the charges play no part: the terms are exactly the singlet's, in order
+        assert [(t.key, t.amp) for t in state.terms] == list(singlet.items())
+        assert state.norm_squared() == pytest.approx(1.0, abs=1e-15)
 
 
-def test_epr_state_is_singlet_in_linear_basis():
-    state = epr_state(waist_s=1.0, waist_i=1.0)
-    v = local_spinor_linear(state, 0.3, 0.2, 0.4, 1.1)
+def test_unconverted_state_is_singlet_in_linear_basis():
+    state = evb_state(*plates(0.5, 1.0, delta=0.0))
+    v = local_spinor(state, 0.3, 0.2, 0.4, 1.1) @ CIRC_TO_LIN.T
     f = np.prod(radial_amplitudes([0], 1.0, [0.3, 0.4]))
     singlet = np.array([0, 1, -1, 0]) / math.sqrt(2)
     overlap = abs(np.vdot(singlet, v)) ** 2 / f**2
@@ -95,51 +111,61 @@ def test_epr_state_is_singlet_in_linear_basis():
 
 
 # ---------------------------------------------------------------------------
-# Plate application
+# Plate action
 
 def test_full_conversion_single_term():
-    state = ModeSuperposition.from_terms(
-        [ModeTerm("L", "R", 0, 0, 1.0)], waist_s=1.0, waist_i=1.0
-    )
-    out = apply_qplate(state, "signal", QPlateParams(0.5, math.pi, 1.0))
-    assert len(out.terms) == 1
-    t = out.terms[0]
-    assert (t.pol_s, t.ell_s) == ("R", -1)
-    assert t.amp == pytest.approx(1j, abs=1e-15)
+    # a tuned signal plate and an idle idler plate: L -> R down by 2q, R -> L up
+    state = evb_state(QPlateParams(0.5, math.pi, 1.0), QPlateParams(0.5, 0.0, 1.0))
+    amps = {t.key: t.amp for t in state.terms}
+    assert set(amps) == {("R", "R", -1, 0), ("L", "L", 1, 0)}
+    assert amps[("R", "R", -1, 0)] == pytest.approx(-1 / math.sqrt(2), abs=1e-15)
+    assert amps[("L", "L", 1, 0)] == pytest.approx(1 / math.sqrt(2), abs=1e-15)
 
 
 def test_zero_retardation_is_identity():
-    state = epr_state()
-    out = apply_qplate(state, "signal", QPlateParams(1.0, 0.0, state.waist_s))
-    assert {t.key for t in out.terms} == {t.key for t in state.terms}
-    for a, b in zip(sorted(out.terms, key=lambda t: t.key),
-                    sorted(state.terms, key=lambda t: t.key)):
-        assert a.amp == pytest.approx(b.amp, abs=1e-15)
+    # an idle plate leaves its photon unchanged, whatever its charge
+    ref = evb_state(QPlateParams(1.0, math.pi / 3, 1.0), QPlateParams(0.5, 0.0, 1.0))
+    assert {(t.pol_i, t.ell_i) for t in ref.terms} == {("R", 0), ("L", 0)}
+    for qi in (-4.0, 0.0, 2.5):
+        other = evb_state(QPlateParams(1.0, math.pi / 3, 1.0), QPlateParams(qi, 0.0, 1.0))
+        assert [(t.key, t.amp) for t in other.terms] == [(t.key, t.amp) for t in ref.terms]
 
 
 def test_half_conversion_amplitudes():
-    state = ModeSuperposition.from_terms(
-        [ModeTerm("L", "R", 0, 0, 1.0)], waist_s=1.0, waist_i=1.0
-    )
-    out = apply_qplate(state, "signal", QPlateParams(1.0, math.pi / 2, 1.0))
-    amps = {(t.pol_s, t.ell_s): t.amp for t in out.terms}
-    assert amps[("L", 0)] == pytest.approx(math.cos(math.pi / 4), abs=1e-15)
-    assert amps[("R", -2)] == pytest.approx(1j * math.sin(math.pi / 4), abs=1e-15)
+    state = evb_state(QPlateParams(1.0, math.pi / 2, 1.0), QPlateParams(0.5, 0.0, 1.0))
+    amps = {(t.pol_s, t.pol_i, t.ell_s): t.amp for t in state.terms}
+    c, s = math.cos(math.pi / 4) / math.sqrt(2), math.sin(math.pi / 4) / math.sqrt(2)
+    assert amps[("L", "R", 0)] == pytest.approx(1j * c, abs=1e-15)
+    assert amps[("R", "R", -2)] == pytest.approx(-s, abs=1e-15)
+    assert amps[("R", "L", 0)] == pytest.approx(-1j * c, abs=1e-15)
+    assert amps[("L", "L", 2)] == pytest.approx(s, abs=1e-15)
 
 
-def test_second_plate_on_converted_photon_rejected():
-    state = evb_state(*plates(0.5, 0.5))
-    with pytest.raises(UnsupportedCompositionError):
-        apply_qplate(state, "signal", QPlateParams(0.5, math.pi, 1.0))
-
-
-@given(delta=st.sampled_from([0.0, math.pi / 4, math.pi / 2, 3 * math.pi / 4, math.pi]),
-       q=st.sampled_from([-1.0, -0.5, 0.5, 1.0]),
-       which=st.sampled_from(["signal", "idler"]))
+@given(delta_s=st.sampled_from([0.0, math.pi / 4, math.pi / 2, 3 * math.pi / 4, math.pi]),
+       delta_i=st.sampled_from([0.0, math.pi / 4, math.pi / 2, 3 * math.pi / 4, math.pi]),
+       qs=st.sampled_from([-1.0, -0.5, 0.0, 0.5, 1.0]),
+       qi=st.sampled_from([-1.0, -0.5, 0.0, 0.5, 1.0]))
 @settings(max_examples=60, deadline=None)
-def test_plate_preserves_norm(delta, q, which):
-    out = apply_qplate(epr_state(), which, QPlateParams(q, delta))
+def test_plate_preserves_norm(delta_s, delta_i, qs, qi):
+    out = evb_state(QPlateParams(qs, delta_s), QPlateParams(qi, delta_i))
     assert abs(out.norm_squared() - 1.0) < 1e-12
+
+
+@given(st.integers(-8, 8), st.integers(-8, 8), st.floats(0.0, math.pi),
+       st.floats(0.0, math.pi), st.floats(0.5, 20.0), st.floats(0.5, 20.0),
+       st.integers(0, 2**32 - 1))
+@settings(max_examples=60, deadline=None)
+def test_evb_state_matches_jones_product(two_qs, two_qi, delta_s, delta_i, w_s, w_i, seed):
+    # the state's local spinor is the product of the two arms' Jones
+    # matrices applied to the singlet, at every point
+    plate_s = QPlateParams(two_qs / 2, delta_s, w_s)
+    plate_i = QPlateParams(two_qi / 2, delta_i, w_i)
+    rng = np.random.default_rng(seed)
+    r_s, r_i = rng.uniform(0.0, 3.0, (2, 50)) * [[w_s], [w_i]]
+    th_s, th_i = rng.uniform(0.0, 2 * math.pi, (2, 50))
+    got = local_spinor(evb_state(plate_s, plate_i), r_s, th_s, r_i, th_i)
+    want = jones_oracle_spinor(plate_s, plate_i, r_s, th_s, r_i, th_i)
+    np.testing.assert_allclose(got, want, rtol=0, atol=1e-13)
 
 
 def test_qplate_params_validation():
@@ -180,18 +206,6 @@ def test_half_converting_pair_has_eight_equal_terms():
     assert state.norm_squared() == pytest.approx(1.0, abs=1e-12)
 
 
-def test_composition_equals_sequential_application():
-    ps, pi = plates(-0.5, 1.0, delta=math.pi / 2)
-    direct = evb_state(ps, pi)
-    manual = apply_qplate(apply_qplate(epr_state(waist_s=ps.waist, waist_i=pi.waist),
-                                       "signal", ps), "idler", pi)
-    a = {t.key: t.amp for t in direct.terms}
-    b = {t.key: t.amp for t in manual.terms}
-    assert a.keys() == b.keys()
-    for k in a:
-        assert a[k] == pytest.approx(b[k], abs=1e-15)
-
-
 # ---------------------------------------------------------------------------
 # Local spinors
 
@@ -230,7 +244,7 @@ def test_local_spinor_vortex_null():
 
 
 def test_local_spinor_rejects_bad_coordinates():
-    state = epr_state()
+    state = evb_state(*plates(0.5, 0.5))
     with pytest.raises(ValueError):
         local_spinor(state, -1.0, 0.0, 1.0, 0.0)
     with pytest.raises(ValueError):

@@ -15,10 +15,11 @@ from evblab.polarimetry import standard_set
 from evblab.qplate_state import (
     BELL_LABELS,
     BELL_STATES,
+    CIRC_TO_LIN,
     QPlateParams,
     bell_probabilities,
     evb_state,
-    local_spinor_linear,
+    local_spinor,
 )
 from evblab.tomography import (
     angular_tomography,
@@ -412,7 +413,7 @@ def test_bell_decomposition_of_local_state_matches_bell_probabilities(
     r_s, r_i = rng.uniform(2.0, 30.0, (2, 16))
     th_s, th_i = rng.uniform(0.0, 2 * math.pi, (2, 16))
     probs = bell_probabilities(state, r_s, th_s, r_i, th_i)
-    psi = local_spinor_linear(state, r_s, th_s, r_i, th_i)
+    psi = local_spinor(state, r_s, th_s, r_i, th_i) @ CIRC_TO_LIN.T
     psi /= np.linalg.norm(psi, axis=-1, keepdims=True)
     rho = psi[:, :, None] * psi[:, None, :].conj()
     decomp = bell_decomposition(rho)
