@@ -139,10 +139,10 @@ class NoiseModel:
     def __post_init__(self):
         if not 0.0 <= self.efficiency <= 1.0:
             raise ValueError("efficiency must be in [0, 1]")
-        if self.dark_rate < 0:
-            raise ValueError("dark rate must be nonnegative")
-        if self.jitter_sigma < 0:
-            raise ValueError("jitter must be nonnegative")
+        if not 0.0 <= self.dark_rate < math.inf:
+            raise ValueError(f"dark rate must be finite and nonnegative, got {self.dark_rate}")
+        if not 0.0 <= self.jitter_sigma < math.inf:
+            raise ValueError(f"jitter must be finite and nonnegative, got {self.jitter_sigma}")
         if not 0.0 <= self.werner_p <= 1.0:
             raise ValueError("werner_p must be in [0, 1]")
 

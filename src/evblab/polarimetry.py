@@ -63,23 +63,34 @@ class MeasurementSetting:
 class TomographySet:
     """An ordered, tomographically complete list of 16 settings.
 
-    The projector kets and the design matrix are computed once, at
-    construction, and returned read-only.
+    The projector kets, the design matrix and the two real projector maps
+    are computed once, at construction, and are read-only.
     """
 
     settings: tuple[MeasurementSetting, ...]
     _kets: np.ndarray = field(init=False, repr=False, compare=False)
     _design: np.ndarray = field(init=False, repr=False, compare=False)
+    # (32, 16): the interleaved (Re, Im) entries of a 4x4 matrix m, row-major,
+    # to the 16 values Re tr(P_k m)
+    probability_map: np.ndarray = field(init=False, repr=False, compare=False)
+    # (16, 32): 16 weights w_k to the interleaved (Re, Im) entries of sum_k w_k P_k
+    projector_map: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if len(self.settings) != 16:
             raise ValueError(f"need 16 settings, got {len(self.settings)}")
         kets = np.array([s.ket for s in self.settings])
         design = np.einsum("ki,gij,kj->kg", kets.conj(), PAULI_PRODUCTS, kets).real
-        kets.flags.writeable = False
-        design.flags.writeable = False
-        object.__setattr__(self, "_kets", kets)
-        object.__setattr__(self, "_design", design)
+        # row k: the interleaved (Re, Im) of P_k = v_k v_k^dagger; since
+        # tr(P_k m) = sum_ij conj(P_k)_ij m_ij, the same numbers map a matrix
+        # to Re tr(P_k m) when transposed
+        projectors = (kets[:, :, None] * kets[:, None, :].conj()).reshape(16, 16).view(float)
+        arrays = {"_kets": kets, "_design": design,
+                  "probability_map": np.ascontiguousarray(projectors.T),
+                  "projector_map": projectors}
+        for name, a in arrays.items():
+            a.flags.writeable = False
+            object.__setattr__(self, name, a)
         cond = self.design_condition_number()
         if not np.isfinite(cond) or cond > 1e9:
             raise ValueError("settings are not tomographically complete")

@@ -6,7 +6,13 @@ subset), projection to the nearest physical state by eigenvalue
 water-filling, and optional maximum-likelihood refinement by accelerated
 projected gradient ascent on rho (Shang, Zhang & Ng, PRA 95, 062336, 2017):
 per bin, a backtracking step from a Nesterov point, the same water-filling
-after every step, and a momentum restart where the likelihood drops.
+after every step, and a momentum restart where the likelihood drops.  The
+ascent's 16 probabilities and its gradient are each one real row product
+per bin with a map the tomography set builds once from its kets: a matrix's
+32 interleaved (Re, Im) floats times a (32, 16) map, and 16 weights times a
+(16, 32) map.  The products run as a stack of single rows rather than one
+matrix product, whose rounding would depend on the stack height, so a bin
+ends with the same bits alone or in a stack.
 Metrics: Wootters concurrence, purity, Bell-state overlaps."""
 
 from __future__ import annotations
@@ -64,10 +70,27 @@ def assert_physical(rho: np.ndarray, tol: float = 1e-8) -> np.ndarray:
 
 
 def forward_probabilities(rho: np.ndarray, tset: TomographySet) -> np.ndarray:
-    """Projection probabilities tr(P_k rho) for the 16 settings, of one
-    matrix or of each matrix of a stack."""
-    vs = tset.projector_vectors()
-    return np.sum(vs.T.conj() * (rho @ vs.T), axis=-2).real
+    """Projection probabilities Re tr(P_k rho) for the 16 settings, of one
+    matrix or of each matrix of a stack.
+
+    Each matrix is one row product: its 16 entries, viewed as 32
+    interleaved (Re, Im) floats, times the real (32, 16)
+    :attr:`TomographySet.probability_map`.  A stack is a stack of such
+    (1, 32) rows, not one (n, 32) matrix product, so each matrix gets the
+    same bits alone or in a stack of any height."""
+    m = np.ascontiguousarray(rho, dtype=complex)
+    return (m.view(float).reshape(*m.shape[:-2], 1, 32) @ tset.probability_map)[..., 0, :]
+
+
+def _flux_columns(tset: TomographySet) -> list[int]:
+    """Columns of the complete {H,V} x {H,V} subset, whose summed counts
+    normalize a bin."""
+    try:
+        return [tset.labels.index(l) for l in FLUX_LABELS]
+    except ValueError as exc:
+        raise ConfigurationError(
+            "flux normalization needs the complete H/V subset in the tomography set"
+        ) from exc
 
 
 def linear_inversion(counts, tset: TomographySet) -> np.ndarray:
@@ -86,14 +109,7 @@ def linear_inversion(counts, tset: TomographySet) -> np.ndarray:
         raise ValueError("counts must be finite and nonnegative")
     if np.any(counts.sum(axis=-1) == 0):
         raise InsufficientDataError("all-zero counts")
-    labels = tset.labels
-    try:
-        flux_idx = [labels.index(l) for l in FLUX_LABELS]
-    except ValueError as exc:
-        raise ConfigurationError(
-            "flux normalization needs the complete H/V subset in the tomography set"
-        ) from exc
-    flux = counts[..., flux_idx].sum(axis=-1)
+    flux = counts[..., _flux_columns(tset)].sum(axis=-1)
     if np.any(flux <= 0):
         raise InsufficientDataError("complete-basis flux is zero")
     probs = counts / flux[..., None]
@@ -133,11 +149,15 @@ def project_physical(m: np.ndarray) -> np.ndarray:
     return _compose(*_water_fill(m))
 
 
-def _gradient(p: np.ndarray, freq: np.ndarray, vs: np.ndarray) -> np.ndarray:
+def _gradient(p: np.ndarray, freq: np.ndarray, tset: TomographySet) -> np.ndarray:
     """R = sum_k f_k P_k / p_k - S / sum_k p_k (S = sum_k P_k), the gradient
-    of F = sum_k f_k log p_k - log sum_k p_k, per row of probabilities."""
+    of F = sum_k f_k log p_k - log sum_k p_k, per row of an (n, 16) stack of
+    probabilities: the weights w_k = f_k / p_k - 1 / sum_j p_j (the first
+    term 0 where f_k = 0) times :attr:`TomographySet.projector_map`, one
+    (1, 16) row per bin, viewed as (n, 4, 4) complex."""
     w = np.divide(freq, p, out=np.zeros_like(p), where=freq > 0)
-    return (vs.T * w[:, None, :]) @ vs.conj() - (vs.T @ vs.conj()) / p.sum(axis=-1)[:, None, None]
+    w -= 1.0 / p.sum(axis=-1, keepdims=True)
+    return (w[:, None, :] @ tset.projector_map)[:, 0, :].view(complex).reshape(-1, 4, 4)
 
 
 def _gain(p: np.ndarray, dp: np.ndarray, freq: np.ndarray) -> np.ndarray:
@@ -153,28 +173,33 @@ def _gain(p: np.ndarray, dp: np.ndarray, freq: np.ndarray) -> np.ndarray:
 
 def _mle_ascent(initial, counts: np.ndarray, tset: TomographySet, tol: float, max_iters: int):
     """Maximum-likelihood states for an (n, 4, 4) stack of physical starts
-    and (n, 16) counts.  Each bin has its own step, momentum and restart, so
-    it ends the same alone or in a stack.  Returns the states, each bin's
-    iterations and its final 2 ||rho^(1/2) R||_F (below ``tol``: converged)."""
+    and (n, 16) counts.  Each bin has its own step, momentum and restart,
+    and the probabilities and the gradient R are row products per bin (see
+    :func:`forward_probabilities` and :func:`_gradient`), so a bin ends with
+    the same bits alone or in a stack.  Each accepted step is composed into
+    a matrix once, in the backtracking loop, and reused by the restart test
+    and as the next iterate.  Returns the states, each bin's iterations and
+    its final 2 ||rho^(1/2) R||_F (below ``tol``: converged)."""
     if np.any(counts < 0):
         raise ValueError("counts must be nonnegative")
     total = counts.sum(axis=-1)
     if np.any(total <= 0):
         raise InsufficientDataError("all-zero counts")
-    freq, vs, n = counts / total[:, None], tset.projector_vectors(), len(counts)
+    freq, n = counts / total[:, None], len(counts)
     rho, grad = np.empty((n, 4, 4), dtype=complex), np.empty((n, 4, 4), dtype=complex)
     p, gnorm = np.empty((n, 16)), np.empty(n)
 
-    def settle(k, lam, vecs):  # make vecs diag(lam) vecs^dag the iterate of bins k
-        rho[k] = _compose(lam, vecs)
-        p[k] = forward_probabilities(rho[k], tset)
-        grad[k] = _gradient(p[k], freq[k], vs)
+    def settle(k, state, lam, vecs):  # make state = vecs diag(lam) vecs^dag the iterate of bins k
+        rho[k] = state
+        p[k] = forward_probabilities(state, tset)
+        grad[k] = _gradient(p[k], freq[k], tset)
         half = vecs * np.sqrt(lam)[:, None, :]  # half half^dag = rho, exact zeros kept
         gnorm[k] = 2.0 * np.linalg.norm(_dagger(half) @ grad[k], axis=(-2, -1))
 
     # Strictly positive start so every observed outcome has nonzero likelihood.
     lam, vecs = np.linalg.eigh((1 - 1e-10) * assert_physical(initial) + 1e-10 * np.eye(4) / 4)
-    settle(np.arange(n), np.maximum(lam, 0.0), vecs)
+    lam = np.maximum(lam, 0.0)
+    settle(np.arange(n), _compose(lam, vecs), lam, vecs)
     prev, theta, step, iters = rho.copy(), np.ones(n), np.ones(n), np.zeros(n, dtype=int)
     live = gnorm >= tol
     while np.any(run := live & (iters < max_iters)):
@@ -187,26 +212,28 @@ def _mle_ascent(initial, counts: np.ndarray, tset: TomographySet, tol: float, ma
         py = forward_probabilities(y, tset)
         out = np.any((py <= 0) & (f > 0), axis=-1)  # extrapolated too far: no momentum
         y[out], py[out], beta[out] = rho[a[out]], p[a[out]], 0.0
-        gy = _gradient(py, f, vs)
+        gy = _gradient(py, f, tset)
         # backtracking: halve the step until the ascent test passes
         t, todo = step[a], np.arange(a.size)
         lam, vecs = np.zeros((a.size, 4)), np.zeros((a.size, 4, 4), dtype=complex)
-        found = np.zeros(a.size, dtype=bool)
+        new, found = np.zeros((a.size, 4, 4), dtype=complex), np.zeros(a.size, dtype=bool)
         while todo.size:
             cl, cv = _water_fill(y[todo] + t[todo, None, None] * gy[todo])
-            d = _compose(cl, cv) - y[todo]
+            state = _compose(cl, cv)
+            d = state - y[todo]
             model = np.sum((d.conj() * (gy[todo] - d / (2 * t[todo, None, None]))).real,
                            axis=(-2, -1))  # <R, d> - ||d||^2 / 2t
             ok = _gain(py[todo], forward_probabilities(d, tset), f[todo]) >= model
-            lam[todo[ok]], vecs[todo[ok]], found[todo[ok]] = cl[ok], cv[ok], True
+            acc = todo[ok]
+            lam[acc], vecs[acc], new[acc], found[acc] = cl[ok], cv[ok], state[ok], True
             t[todo[~ok]] *= 0.5
             todo = todo[~ok & (t[todo] > 1e-20)]
         # Restart: drop a momentum step that lowers the likelihood; a step from
         # rho that passed the test ascends in exact arithmetic, so it is kept.
-        move = _compose(lam, vecs) - rho[a]
+        move = new - rho[a]
         up = found & ((beta == 0) | (_gain(p[a], forward_probabilities(move, tset), f) >= 0))
         prev[a] = rho[a]
-        settle(a[up], lam[up], vecs[up])
+        settle(a[up], new[up], lam[up], vecs[up])
         theta[a] = np.where(up, th, 1.0)
         step[a] = np.where(up, 1.5 * t, np.where(found, t, step[a]))
         # stalled: no step from rho itself passes the test, or it moves rho by rounding
@@ -341,13 +368,14 @@ def angular_tomography(histograms, tset: TomographySet, mle: bool = False,
 
     ``histograms`` holds one CoincidenceHistogram per setting of ``tset``
     (matched by label; all must share one binning).  Bins whose summed
-    counts across the 16 settings fall below ``min_counts`` are flagged
-    low-statistics and excluded from the count-weighted averages.  The
-    other bins are inverted and projected as one stack; with ``mle`` the
-    stack is then refined in one batched ascent (see :func:`mle_refine`),
-    each bin recording its iterations and final gradient norm, and a bin
-    that does not reach ``mle_tol`` keeps its best iterate and is counted in
-    ``mle_nonconverged``.
+    counts across the 16 settings fall below ``min_counts``, and bins that
+    cannot be normalized because their complete H/V subset holds no counts
+    (an all-zero bin among them), are flagged low-statistics and excluded
+    from the count-weighted averages.  The other bins are inverted and
+    projected as one stack; with ``mle`` the stack is then refined in one
+    batched ascent (see :func:`mle_refine`), each bin recording its
+    iterations and final gradient norm, and a bin that does not reach
+    ``mle_tol`` keeps its best iterate and is counted in ``mle_nonconverged``.
     """
     by_label = {h.setting: h for h in histograms}
     if sorted(by_label) != sorted(tset.labels):
@@ -363,7 +391,8 @@ def angular_tomography(histograms, tset: TomographySet, mle: bool = False,
     counts = np.stack([np.asarray(by_label[l].counts_theta, dtype=float).ravel()
                        for l in tset.labels], axis=1)  # (n_theta**2, 16), row-major bins
     totals = [int(round(t)) for t in counts.sum(axis=1)]
-    used = [k for k, t in enumerate(totals) if t >= min_counts]
+    flux = counts[:, _flux_columns(tset)].sum(axis=1)
+    used = [k for k, t in enumerate(totals) if t >= min_counts and flux[k] > 0]
 
     rhos = project_physical(linear_inversion(counts[used], tset))
     mle_record = [(None, None)] * len(used)  # (iterations, gradient norm) per bin

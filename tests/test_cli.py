@@ -345,8 +345,17 @@ def test_coincide_zero_event_files(tmp_path):
     (["coincide", "--in", "{run}", "--r-max", "-1"], "r_max must be positive"),
     (["generate", "--qs", "0.5", "--qi", "0.5", "--seed", "-1"],
      "seed must be nonnegative, got -1"),
+    (["generate", "--qs", "0.5", "--qi", "0.5", "--dark-rate", "inf"],
+     "dark rate must be finite and nonnegative, got inf"),
+    (["generate", "--qs", "0.5", "--qi", "0.5", "--dark-rate", "nan"],
+     "dark rate must be finite and nonnegative, got nan"),
+    (["generate", "--qs", "0.5", "--qi", "0.5", "--jitter-ns", "nan"],
+     "jitter must be finite and nonnegative, got nan"),
+    (["generate", "--qs", "0.5", "--qi", "0.5", "--jitter-ns", "inf"],
+     "jitter must be finite and nonnegative, got inf"),
 ], ids=["simulate-ntheta", "coincide-no-run", "tomo-no-bundle", "report-no-inputs",
-        "coincide-ntheta", "coincide-r-max", "generate-seed"])
+        "coincide-ntheta", "coincide-r-max", "generate-seed", "generate-dark-rate-inf",
+        "generate-dark-rate-nan", "generate-jitter-nan", "generate-jitter-inf"])
 def test_bad_input_leaves_no_output_directory(small_run, tmp_path, monkeypatch, capsys,
                                               argv, message):
     # flags and inputs are checked before any event file is read or --out is made

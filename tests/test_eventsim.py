@@ -125,6 +125,12 @@ def test_noise_validation():
                 dict(jitter_sigma=-0.1), dict(werner_p=2.0)):
         with pytest.raises(ValueError):
             NoiseModel(**bad)
+    # NaN fails every comparison, so a bare `x < 0` test would let it through
+    for value in (math.nan, math.inf):
+        with pytest.raises(ValueError, match=f"dark rate must be finite .*, got {value}"):
+            NoiseModel(dark_rate=value)
+        with pytest.raises(ValueError, match=f"jitter must be finite .*, got {value}"):
+            NoiseModel(jitter_sigma=value)
 
 
 def test_manifest_round_trip():

@@ -11,7 +11,7 @@ from evblab.errors import (
     ConvergenceError,
     InsufficientDataError,
 )
-from evblab.polarimetry import standard_set
+from evblab.polarimetry import set_from_labels, standard_set
 from evblab.qplate_state import (
     BELL_LABELS,
     BELL_STATES,
@@ -22,6 +22,8 @@ from evblab.qplate_state import (
     local_spinor,
 )
 from evblab.tomography import (
+    _gradient,
+    _mle_ascent,
     angular_tomography,
     assert_physical,
     bell_decomposition,
@@ -301,6 +303,65 @@ def loglike_gradient(rho, counts):
     return np.einsum("k,kij->ij", w, projectors[seen]) - projectors.sum(axis=0) / p.sum()
 
 
+@given(st.integers(0, 2**32 - 1), st.integers(1, 4), st.integers(1, 6))
+@settings(max_examples=40, deadline=None)
+def test_forward_probabilities_match_projector_kets(seed, rank, n):
+    # Re v_k^dagger m v_k from the kets, for a stack, one matrix and a
+    # real-valued matrix that need not be symmetric
+    rng = np.random.default_rng(seed)
+    vs = TSET.projector_vectors()
+    states = np.array([random_state(rng, rank) for _ in range(n)])
+    oracle = np.einsum("ki,nij,kj->nk", vs.conj(), states, vs).real
+    np.testing.assert_allclose(forward_probabilities(states, TSET), oracle, rtol=0, atol=1e-14)
+    np.testing.assert_allclose(forward_probabilities(states[0], TSET), oracle[0],
+                               rtol=0, atol=1e-14)
+    real = rng.normal(size=(4, 4))
+    np.testing.assert_allclose(forward_probabilities(real, TSET),
+                               np.einsum("ki,ij,kj->k", vs.conj(), real, vs).real,
+                               rtol=0, atol=1e-14)
+
+
+@given(st.integers(0, 2**32 - 1), st.integers(1, 4), st.integers(0, 8))
+@settings(max_examples=40, deadline=None)
+def test_gradient_matches_projector_sum(seed, rank, unseen):
+    # sum_k (f_k / p_k) v_k v_k^dagger - S / sum_k p_k from the kets, with
+    # `unseen` settings that observed no counts
+    rng = np.random.default_rng(seed)
+    rhos = np.array([random_state(rng, rank) for _ in range(3)])
+    counts = rng.uniform(1.0, 500.0, size=(3, 16))
+    counts[:, rng.permutation(16)[:unseen]] = 0.0
+    grad = _gradient(forward_probabilities(rhos, TSET), counts / counts.sum(axis=1)[:, None],
+                     TSET)
+    for k in range(3):
+        oracle = loglike_gradient(rhos[k], counts[k])
+        np.testing.assert_allclose(grad[k], oracle, rtol=0,
+                                   atol=1e-14 * max(1.0, np.abs(oracle).max()))
+
+
+def test_stack_gives_each_bin_the_bits_it_gets_alone():
+    # _mle_ascent promises each bin the same result alone or in a stack: every
+    # kernel must round a matrix the same at any stack height
+    rng = np.random.default_rng(24)
+    ranks = [1, 2, 3, 4] * 3
+    states = np.array([random_state(rng, r) for r in ranks])
+    probs = forward_probabilities(states, TSET)
+    totals = np.geomspace(300.0, 1e5, 12)
+    counts = rng.poisson(probs / probs.sum(axis=1)[:, None] * totals[:, None]).astype(float)
+    freq = counts / counts.sum(axis=1)[:, None]
+    grad = _gradient(probs, freq, TSET)
+    starts = project_physical(linear_inversion(counts, TSET))
+    rho, iters, gnorm = _mle_ascent(starts, counts, TSET, 1e-8, 5000)
+    assert np.count_nonzero(iters) >= 6 and np.all(gnorm < 1e-8)
+    for k in range(12):
+        one = slice(k, k + 1)
+        assert np.array_equal(probs[k], forward_probabilities(states[k], TSET))
+        assert np.array_equal(probs[one], forward_probabilities(states[one], TSET))
+        assert np.array_equal(grad[one], _gradient(probs[one], freq[one], TSET))
+        alone = _mle_ascent(starts[one], counts[one], TSET, 1e-8, 5000)
+        assert np.array_equal(rho[one], alone[0])
+        assert np.array_equal(iters[one], alone[1]) and np.array_equal(gnorm[one], alone[2])
+
+
 def test_mle_satisfies_kkt_conditions():
     # Poisson counts of pure and rank-2 states put most optima on the
     # boundary (rank deficient); full-rank states give interior ones.  At a
@@ -485,6 +546,31 @@ def test_angular_tomography_low_statistics_flagging():
     assert (flagged[0].bin_s, flagged[0].bin_i) == (2, 3)
     assert math.isnan(flagged[0].concurrence)
     assert tomo.bins_used == 15
+
+
+@pytest.mark.parametrize("min_counts", [0, 1])
+@pytest.mark.parametrize("mle", [False, True])
+def test_angular_tomography_flags_bins_it_cannot_normalize(min_counts, mle):
+    # bin (1, 0) has counts but none in the complete H/V subset, and bin
+    # (2, 3) none at all: neither can be flux-normalized, so both are
+    # flagged low-statistics instead of failing the whole grid
+    rho = werner(0.9)
+    hists = synthetic_histograms(lambda i, j: rho, 4, flux=4000)
+    for h in hists:
+        h.counts_theta[2, 3] = 0.0
+        if h.setting in ("HH", "HV", "VH", "VV"):
+            h.counts_theta[1, 0] = 0.0
+    tomo = angular_tomography(hists, TSET, min_counts=min_counts, mle=mle)
+    assert [(r.bin_s, r.bin_i) for r in tomo.results if r.low_statistics] == [(1, 0), (2, 3)]
+    assert tomo.result(1, 0).counts_used > 0 and tomo.result(2, 3).counts_used == 0
+    assert tomo.bins_used == 14 and tomo.mle_nonconverged == 0
+    assert tomo.average_concurrence == pytest.approx(concurrence(rho), abs=1e-7)
+    # a set without the complete H/V subset can normalize no bin at all
+    other = set_from_labels([a + b for a in "HDAR" for b in "HDAL"])
+    binning = hists[0].binning
+    relabelled = [_hist_for(l, np.full((4, 4), 100.0), binning) for l in other.labels]
+    with pytest.raises(ConfigurationError, match="complete H/V subset"):
+        angular_tomography(relabelled, other, min_counts=min_counts, mle=mle)
 
 
 @pytest.mark.parametrize("grid", [{"n_theta": 8}, {"n_r": 3}, {"r_max": 25.0}],
