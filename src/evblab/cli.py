@@ -341,7 +341,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, FormatError, ConfigurationError, OSError) as exc:
+    except (ValueError, OSError) as exc:  # FormatError and ConfigurationError included
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -170,6 +170,12 @@ class RunManifest:
     def __post_init__(self):
         if not 0 < self.duration < math.inf:
             raise ValueError("duration must be positive and finite")
+        # event times are uint64 ns on disk and int64 ns in matching, whose
+        # window arithmetic stays exact below 2**62 ns
+        span = self.duration * 1e9 + 10 * self.noise.jitter_sigma
+        if not span < 2**62:
+            raise ValueError(f"run span {span:.3g} ns (duration {self.duration:g} s plus 10 "
+                             f"jitter widths of {self.noise.jitter_sigma:g} ns) reaches 2**62 ns")
         if not self.pair_rate >= 0:
             raise ValueError("pair rate must be nonnegative")
         if not self.rng_seed >= 0:

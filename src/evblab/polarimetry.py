@@ -4,6 +4,9 @@ A measurement setting is a pair of polarization projectors, one per arm.
 The canonical tomography set is the 16-element product of signal analyzers
 {H, V, A, R} with idler analyzers {H, V, A, L}, in row-major order; any
 other tomographically complete 16-setting product can be supplied by label.
+A set is represented by real maps built from its projector kets: a matrix
+to its 16 probabilities, 16 weights to the weighted sum of the projectors,
+and the pseudo-inverse of the first, which is linear inversion.
 
 The analytic side turns a mode superposition plus a setting into pass
 probabilities and bin-integrated expected histograms, serving as ground
@@ -28,15 +31,6 @@ from .qplate_state import (
 
 SIGNAL_ANALYZERS = ("H", "V", "A", "R")
 IDLER_ANALYZERS = ("H", "V", "A", "L")
-
-PAULIS = (
-    np.eye(2, dtype=complex),
-    np.array([[0, 1], [1, 0]], dtype=complex),
-    np.array([[0, -1j], [1j, 0]]),
-    np.array([[1, 0], [0, -1]], dtype=complex),
-)
-# (16, 4, 4) two-qubit product-Pauli basis, signal factor major
-PAULI_PRODUCTS = np.array([np.kron(a, b) for a in PAULIS for b in PAULIS])
 
 
 @dataclass(frozen=True)
@@ -63,53 +57,48 @@ class MeasurementSetting:
 class TomographySet:
     """An ordered, tomographically complete list of 16 settings.
 
-    The projector kets, the design matrix and the two real projector maps
-    are computed once, at construction, and are read-only.
+    The product projector kets and three real maps built from them are
+    computed once, at construction, and are read-only.  They are the one
+    representation of the measurement: a 4x4 matrix enters them as its 32
+    interleaved (Re, Im) floats, row-major.
     """
 
     settings: tuple[MeasurementSetting, ...]
-    _kets: np.ndarray = field(init=False, repr=False, compare=False)
-    _design: np.ndarray = field(init=False, repr=False, compare=False)
-    # (32, 16): the interleaved (Re, Im) entries of a 4x4 matrix m, row-major,
-    # to the 16 values Re tr(P_k m)
+    # (16, 4): the product projector kets v_k in the HV basis, P_k = v_k v_k^dagger
+    kets: np.ndarray = field(init=False, repr=False, compare=False)
+    # (32, 16): a matrix m to the 16 values Re tr(P_k m)
     probability_map: np.ndarray = field(init=False, repr=False, compare=False)
-    # (16, 32): 16 weights w_k to the interleaved (Re, Im) entries of sum_k w_k P_k
+    # (16, 32): 16 weights w_k to sum_k w_k P_k
     projector_map: np.ndarray = field(init=False, repr=False, compare=False)
+    # (16, 32): 16 probabilities to the one Hermitian matrix that reproduces
+    # them, the pseudo-inverse of probability_map (linear inversion)
+    inversion_map: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if len(self.settings) != 16:
             raise ValueError(f"need 16 settings, got {len(self.settings)}")
         kets = np.array([s.ket for s in self.settings])
-        design = np.einsum("ki,gij,kj->kg", kets.conj(), PAULI_PRODUCTS, kets).real
-        # row k: the interleaved (Re, Im) of P_k = v_k v_k^dagger; since
-        # tr(P_k m) = sum_ij conj(P_k)_ij m_ij, the same numbers map a matrix
-        # to Re tr(P_k m) when transposed
+        # row k: the interleaved (Re, Im) of P_k; since tr(P_k m) =
+        # sum_ij conj(P_k)_ij m_ij, the same numbers map a matrix to
+        # Re tr(P_k m) when transposed
         projectors = (kets[:, :, None] * kets[:, None, :].conj()).reshape(16, 16).view(float)
-        arrays = {"_kets": kets, "_design": design,
-                  "probability_map": np.ascontiguousarray(projectors.T),
-                  "projector_map": projectors}
+        # cond of the projectors equals that of the Pauli design matrix
+        # tr(P_k sigma_g), as the product Paulis / 2 are orthonormal
+        cond = np.linalg.cond(projectors)
+        if not np.isfinite(cond) or cond > 1e9:
+            raise ValueError("settings are not tomographically complete")
+        probability_map = np.ascontiguousarray(projectors.T)
+        # rho = sum_k c_k P_k with sum_k tr(P_j P_k) c_k = p_j has tr(P_j rho) = p_j
+        inversion_map = np.linalg.solve(projectors @ probability_map, projectors)
+        arrays = {"kets": kets, "probability_map": probability_map,
+                  "projector_map": projectors, "inversion_map": inversion_map}
         for name, a in arrays.items():
             a.flags.writeable = False
             object.__setattr__(self, name, a)
-        cond = self.design_condition_number()
-        if not np.isfinite(cond) or cond > 1e9:
-            raise ValueError("settings are not tomographically complete")
 
     @property
     def labels(self) -> tuple[str, ...]:
         return tuple(s.label for s in self.settings)
-
-    def projector_vectors(self) -> np.ndarray:
-        """(16, 4) array of the product projector kets in the HV basis."""
-        return self._kets
-
-    def design_matrix(self) -> np.ndarray:
-        """Real (16, 16) matrix mapping product-Pauli coordinates of rho to
-        the 16 projection probabilities."""
-        return self._design
-
-    def design_condition_number(self) -> float:
-        return float(np.linalg.cond(self._design))
 
 
 def setting_from_label(label: str) -> MeasurementSetting:
@@ -131,9 +120,6 @@ def standard_set() -> TomographySet:
 
 def set_from_labels(labels) -> TomographySet:
     """Build a tomography set from 16 two-character labels (validated)."""
-    labels = list(labels)
-    if len(labels) != 16:
-        raise ValueError("need exactly 16 setting labels")
     return TomographySet(tuple(setting_from_label(l) for l in labels))
 
 

@@ -6,13 +6,13 @@ subset), projection to the nearest physical state by eigenvalue
 water-filling, and optional maximum-likelihood refinement by accelerated
 projected gradient ascent on rho (Shang, Zhang & Ng, PRA 95, 062336, 2017):
 per bin, a backtracking step from a Nesterov point, the same water-filling
-after every step, and a momentum restart where the likelihood drops.  The
-ascent's 16 probabilities and its gradient are each one real row product
-per bin with a map the tomography set builds once from its kets: a matrix's
-32 interleaved (Re, Im) floats times a (32, 16) map, and 16 weights times a
-(16, 32) map.  The products run as a stack of single rows rather than one
-matrix product, whose rounding would depend on the stack height, so a bin
-ends with the same bits alone or in a stack.
+after every step, and a momentum restart where the likelihood drops.
+The measurement enters only through the real maps the tomography set
+builds once from its projector kets, each applied as one row product per
+bin (see :func:`_rows`): a matrix's 32 interleaved (Re, Im) floats to its
+16 probabilities, 16 weights to sum_k w_k P_k (the ascent's gradient), and
+16 probabilities to the Hermitian matrix that reproduces them, the
+pseudo-inverse of the first map (linear inversion).
 Metrics: Wootters concurrence, purity, Bell-state overlaps."""
 
 from __future__ import annotations
@@ -26,13 +26,15 @@ from .errors import (
     ConvergenceError,
     InsufficientDataError,
 )
-from .polarimetry import PAULI_PRODUCTS, PAULIS, TomographySet
+from .polarimetry import TomographySet
 from .qplate_state import BELL_LABELS, BELL_STATES
 
-_YY = np.kron(PAULIS[2], PAULIS[2]).real
+_SIGMA_Y = np.array([[0, -1j], [1j, 0]])
+_YY = np.kron(_SIGMA_Y, _SIGMA_Y).real
 _BELL_KETS = np.array([BELL_STATES[name] for name in BELL_LABELS])
 
 FLUX_LABELS = ("HH", "HV", "VH", "VV")
+MLE_MAX_ITERS = 5000  # per bin, in mle_refine and angular_tomography
 
 
 def _dagger(m: np.ndarray) -> np.ndarray:
@@ -69,17 +71,21 @@ def assert_physical(rho: np.ndarray, tol: float = 1e-8) -> np.ndarray:
     return rho
 
 
+def _rows(x: np.ndarray, m: np.ndarray) -> np.ndarray:
+    """x @ m for each row of x (shape (..., k)) and a (k, j) map, computed
+    as a stack of (1, k) @ (k, j) products, not one matrix product.  The
+    rounding of one product over all rows would depend on the stack height
+    (a single row takes another BLAS path); rows give each bin the same
+    bits alone or in a stack of any height."""
+    return (x[..., None, :] @ m)[..., 0, :]
+
+
 def forward_probabilities(rho: np.ndarray, tset: TomographySet) -> np.ndarray:
     """Projection probabilities Re tr(P_k rho) for the 16 settings, of one
-    matrix or of each matrix of a stack.
-
-    Each matrix is one row product: its 16 entries, viewed as 32
-    interleaved (Re, Im) floats, times the real (32, 16)
-    :attr:`TomographySet.probability_map`.  A stack is a stack of such
-    (1, 32) rows, not one (n, 32) matrix product, so each matrix gets the
-    same bits alone or in a stack of any height."""
+    matrix or of each matrix of a stack: its 16 entries, viewed as 32
+    interleaved (Re, Im) floats, times :attr:`TomographySet.probability_map`."""
     m = np.ascontiguousarray(rho, dtype=complex)
-    return (m.view(float).reshape(*m.shape[:-2], 1, 32) @ tset.probability_map)[..., 0, :]
+    return _rows(m.view(float).reshape(*m.shape[:-2], 32), tset.probability_map)
 
 
 def _flux_columns(tset: TomographySet) -> list[int]:
@@ -94,13 +100,15 @@ def _flux_columns(tset: TomographySet) -> list[int]:
 
 
 def linear_inversion(counts, tset: TomographySet) -> np.ndarray:
-    """Solve the 16x16 linear system for rho from raw setting counts.
+    """The Hermitian matrix that reproduces the flux-normalized counts.
 
     ``counts`` holds the 16 setting counts of one bin, or an (n, 16) stack
-    of bins, which gives an (n, 4, 4) stack of matrices from one solve.
-    Counts are normalized by the summed flux of the complete {H,V} x {H,V}
-    subset, which fixes the trace to one; the result is Hermitian but may
-    have negative eigenvalues when counts are noisy.
+    of bins, which gives an (n, 4, 4) stack of matrices.  Counts are
+    normalized by the summed flux of the complete {H,V} x {H,V} subset,
+    which fixes the trace to one, and mapped by
+    :attr:`TomographySet.inversion_map`, the pseudo-inverse of the map that
+    gives the probabilities of a matrix.  The result may have negative
+    eigenvalues when counts are noisy.
     """
     counts = np.asarray(counts, dtype=float)
     if counts.ndim not in (1, 2) or counts.shape[-1] != 16:
@@ -113,11 +121,7 @@ def linear_inversion(counts, tset: TomographySet) -> np.ndarray:
     if np.any(flux <= 0):
         raise InsufficientDataError("complete-basis flux is zero")
     probs = counts / flux[..., None]
-    try:
-        coords = np.linalg.solve(tset.design_matrix(), probs.T).T
-    except np.linalg.LinAlgError as exc:
-        raise ConfigurationError("singular tomography design matrix") from exc
-    rho = np.einsum("...k,kij->...ij", coords, PAULI_PRODUCTS)
+    rho = _rows(probs, tset.inversion_map).view(complex).reshape(*probs.shape[:-1], 4, 4)
     return 0.5 * (rho + _dagger(rho))
 
 
@@ -153,11 +157,11 @@ def _gradient(p: np.ndarray, freq: np.ndarray, tset: TomographySet) -> np.ndarra
     """R = sum_k f_k P_k / p_k - S / sum_k p_k (S = sum_k P_k), the gradient
     of F = sum_k f_k log p_k - log sum_k p_k, per row of an (n, 16) stack of
     probabilities: the weights w_k = f_k / p_k - 1 / sum_j p_j (the first
-    term 0 where f_k = 0) times :attr:`TomographySet.projector_map`, one
-    (1, 16) row per bin, viewed as (n, 4, 4) complex."""
+    term 0 where f_k = 0) times :attr:`TomographySet.projector_map`, viewed
+    as (n, 4, 4) complex."""
     w = np.divide(freq, p, out=np.zeros_like(p), where=freq > 0)
     w -= 1.0 / p.sum(axis=-1, keepdims=True)
-    return (w[:, None, :] @ tset.projector_map)[:, 0, :].view(complex).reshape(-1, 4, 4)
+    return _rows(w, tset.projector_map).view(complex).reshape(-1, 4, 4)
 
 
 def _gain(p: np.ndarray, dp: np.ndarray, freq: np.ndarray) -> np.ndarray:
@@ -171,15 +175,15 @@ def _gain(p: np.ndarray, dp: np.ndarray, freq: np.ndarray) -> np.ndarray:
     return np.where(ok, gain - np.log1p(np.where(ok, rs, 0.0)), -np.inf)
 
 
-def _mle_ascent(initial, counts: np.ndarray, tset: TomographySet, tol: float, max_iters: int):
+def _mle_ascent(initial, counts: np.ndarray, tset: TomographySet, tol: float):
     """Maximum-likelihood states for an (n, 4, 4) stack of physical starts
     and (n, 16) counts.  Each bin has its own step, momentum and restart,
     and the probabilities and the gradient R are row products per bin (see
-    :func:`forward_probabilities` and :func:`_gradient`), so a bin ends with
-    the same bits alone or in a stack.  Each accepted step is composed into
-    a matrix once, in the backtracking loop, and reused by the restart test
-    and as the next iterate.  Returns the states, each bin's iterations and
-    its final 2 ||rho^(1/2) R||_F (below ``tol``: converged)."""
+    :func:`_rows`), so a bin ends with the same bits alone or in a stack.
+    Each accepted step is composed into a matrix once, in the backtracking
+    loop, and reused by the restart test and as the next iterate.  Returns
+    the states, each bin's iterations (at most ``MLE_MAX_ITERS``) and its
+    final 2 ||rho^(1/2) R||_F (below ``tol``: converged)."""
     if np.any(counts < 0):
         raise ValueError("counts must be nonnegative")
     total = counts.sum(axis=-1)
@@ -202,7 +206,7 @@ def _mle_ascent(initial, counts: np.ndarray, tset: TomographySet, tol: float, ma
     settle(np.arange(n), _compose(lam, vecs), lam, vecs)
     prev, theta, step, iters = rho.copy(), np.ones(n), np.ones(n), np.zeros(n, dtype=int)
     live = gnorm >= tol
-    while np.any(run := live & (iters < max_iters)):
+    while np.any(run := live & (iters < MLE_MAX_ITERS)):
         a = np.flatnonzero(run)
         iters[a] += 1
         f = freq[a]
@@ -243,7 +247,7 @@ def _mle_ascent(initial, counts: np.ndarray, tset: TomographySet, tol: float, ma
 
 
 def mle_refine(initial: np.ndarray, counts, tset: TomographySet,
-               tol: float = 1e-9, max_iters: int = 5000) -> np.ndarray:
+               tol: float = 1e-9) -> np.ndarray:
     """Maximum-likelihood refinement of a physical starting state.
 
     Maximizes sum_k (n_k/N) log tr(P_k rho) - log tr(S rho), S = sum_k P_k,
@@ -252,12 +256,13 @@ def mle_refine(initial: np.ndarray, counts, tset: TomographySet,
     backtracking step from a Nesterov point, water-filled back to a state,
     and a momentum restart where the likelihood would drop.  ``tol`` bounds
     2 ||rho^(1/2) R||_F at exit, R being the gradient; missing it within
-    ``max_iters`` iterations raises ConvergenceError carrying the best iterate.
+    ``MLE_MAX_ITERS`` iterations raises ConvergenceError carrying the best
+    iterate.
     """
     rho, _, gnorm = _mle_ascent(np.asarray(initial)[None], np.asarray(counts, dtype=float)[None],
-                                tset, tol, max_iters)
+                                tset, tol)
     if not gnorm[0] < tol:
-        raise ConvergenceError(f"MLE gradient norm did not reach {tol} within {max_iters} "
+        raise ConvergenceError(f"MLE gradient norm did not reach {tol} within {MLE_MAX_ITERS} "
                                "iterations", best=rho[0])
     return rho[0]
 
@@ -397,7 +402,7 @@ def angular_tomography(histograms, tset: TomographySet, mle: bool = False,
     rhos = project_physical(linear_inversion(counts[used], tset))
     mle_record = [(None, None)] * len(used)  # (iterations, gradient norm) per bin
     if mle and used:
-        rhos, iters, gnorm = _mle_ascent(rhos, counts[used], tset, mle_tol, 5000)
+        rhos, iters, gnorm = _mle_ascent(rhos, counts[used], tset, mle_tol)
         mle_record = [(int(i), float(g)) for i, g in zip(iters, gnorm)]
     conc = concurrence(rhos)
     pur = purity(rhos)

@@ -353,9 +353,15 @@ def test_coincide_zero_event_files(tmp_path):
      "jitter must be finite and nonnegative, got nan"),
     (["generate", "--qs", "0.5", "--qi", "0.5", "--jitter-ns", "inf"],
      "jitter must be finite and nonnegative, got inf"),
+    (["generate", "--qs", "0.5", "--qi", "0.5", "--pairs", "2000", "--pair-rate", "1e-8",
+      "--seed", "1"],
+     "run span 2e+20 ns (duration 2e+11 s plus 10 jitter widths of 1 ns) reaches 2**62 ns"),
+    (["generate", "--qs", "0.5", "--qi", "0.5", "--jitter-ns", "1e30", "--seed", "1"],
+     "10 jitter widths of 1e+30 ns) reaches 2**62 ns"),
 ], ids=["simulate-ntheta", "coincide-no-run", "tomo-no-bundle", "report-no-inputs",
         "coincide-ntheta", "coincide-r-max", "generate-seed", "generate-dark-rate-inf",
-        "generate-dark-rate-nan", "generate-jitter-nan", "generate-jitter-inf"])
+        "generate-dark-rate-nan", "generate-jitter-nan", "generate-jitter-inf",
+        "generate-time-span", "generate-jitter-span"])
 def test_bad_input_leaves_no_output_directory(small_run, tmp_path, monkeypatch, capsys,
                                               argv, message):
     # flags and inputs are checked before any event file is read or --out is made

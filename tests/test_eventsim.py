@@ -1,5 +1,6 @@
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -159,6 +160,30 @@ def test_manifest_validation():
                 pair_rate=10.0, duration=duration, noise=NoiseModel(),
                 rng_seed=0, qplate_s=man.qplate_s, qplate_i=man.qplate_i,
             )
+
+
+@pytest.mark.parametrize("duration,jitter,ok", [
+    (4.6e9, 0.0, True), (4.7e9, 0.0, False),  # 2**62 ns is 4.61e9 s
+    (1.0, 4.6e17, True), (1.0, 4.62e17, False),  # ten jitter widths count
+    (2e11, 1.0, False), (10.0, 1e30, False),
+])
+def test_manifest_rejects_event_times_beyond_int64(duration, jitter, ok):
+    # uint64 event times used to wrap or saturate silently past the cap
+    man = small_manifest()
+
+    def manifest():
+        return RunManifest(
+            geometry=man.geometry, settings={"HH": "a.evb"}, pair_rate=10.0,
+            duration=duration, noise=NoiseModel(jitter_sigma=jitter),
+            rng_seed=0, qplate_s=man.qplate_s, qplate_i=man.qplate_i,
+        )
+
+    if ok:
+        manifest()
+        return
+    message = f"duration {duration:g} s plus 10 jitter widths of {jitter:g} ns) reaches 2**62 ns"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        manifest()
 
 
 # ---------------------------------------------------------------------------

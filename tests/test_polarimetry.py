@@ -47,13 +47,14 @@ def test_standard_set_layout():
     assert tset.labels[4] == "VH"
 
 
-def test_standard_set_design_matrix_invertible():
-    tset = standard_set()
-    cond = tset.design_condition_number()
-    assert np.isfinite(cond)
-    design = tset.design_matrix()
-    identity = design @ np.linalg.inv(design)
-    np.testing.assert_allclose(identity, np.eye(16), atol=1e-9)
+def test_inversion_map_inverts_probability_map():
+    # the pseudo-inverse of the probabilities' map takes them back to the
+    # matrix, for the standard set and the {H,V,A,L} x {H,V,A,R} one
+    for tset in (standard_set(), set_from_labels(a + b for a in "HVAL" for b in "HVAR")):
+        np.testing.assert_allclose(tset.inversion_map @ tset.probability_map, np.eye(16),
+                                   rtol=0, atol=1e-12)
+        for a in (tset.kets, tset.probability_map, tset.projector_map, tset.inversion_map):
+            assert not a.flags.writeable
 
 
 def test_custom_set_from_labels():

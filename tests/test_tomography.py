@@ -86,6 +86,40 @@ def test_inversion_round_trip_random_states():
         assert np.linalg.norm(rec - rho) < 1e-10
 
 
+PAULIS = (np.eye(2), np.array([[0, 1], [1, 0]]), np.array([[0, -1j], [1j, 0]]),
+          np.diag([1, -1]))
+PAULI_PRODUCTS = np.array([np.kron(a, b) for a in PAULIS for b in PAULIS])
+HVAL_HVAR = set_from_labels(a + b for a in "HVAL" for b in "HVAR")
+
+
+@pytest.mark.parametrize("tset", [TSET, HVAL_HVAR], ids=["standard", "HVAL-HVAR"])
+def test_inversion_matches_pauli_design_route(tset):
+    # the textbook route: the design matrix tr(P_k sigma_g) takes the Pauli
+    # coordinates c of rho = sum_g c_g sigma_g to the 16 probabilities, and
+    # is solved for them from flux-normalized counts
+    rng = np.random.default_rng(25)
+    design = np.einsum("ki,gij,kj->kg", tset.kets.conj(), PAULI_PRODUCTS, tset.kets).real
+    flux = [tset.labels.index(l) for l in ("HH", "HV", "VH", "VV")]
+    states = np.array([random_state(rng, rank) for rank in (1, 2, 3, 4) * 10])
+    probs = forward_probabilities(states, tset)
+    for counts in (probs * 1e4, rng.poisson(probs * 1e4).astype(float)):
+        coords = np.linalg.solve(design, (counts / counts[:, flux].sum(axis=1)[:, None]).T).T
+        oracle = np.einsum("nk,kij->nij", coords, PAULI_PRODUCTS)
+        np.testing.assert_allclose(linear_inversion(counts, tset), oracle, rtol=0, atol=1e-12)
+    # the completeness check reads the design's condition number off the map
+    assert np.linalg.cond(tset.projector_map) == pytest.approx(np.linalg.cond(design), rel=1e-9)
+
+
+def test_inversion_of_a_stack_gives_each_bin_the_bits_it_gets_alone():
+    rng = np.random.default_rng(26)
+    states = np.array([random_state(rng, rank) for rank in (1, 2, 3, 4) * 50])
+    counts = rng.poisson(forward_probabilities(states, TSET) * 1e3).astype(float)
+    stack = linear_inversion(counts, TSET)
+    assert stack.shape == (200, 4, 4)
+    for k in range(200):
+        assert np.array_equal(stack[k], linear_inversion(counts[k], TSET))
+
+
 def test_inversion_errors():
     with pytest.raises(InsufficientDataError):
         linear_inversion(np.zeros(16), TSET)
@@ -235,7 +269,7 @@ def test_mle_likelihood_never_decreases():
     rho = werner(0.8)
     counts = rng.poisson(forward_probabilities(rho, TSET) * 500)
     init = project_physical(linear_inversion(counts, TSET))
-    vs = TSET.projector_vectors()
+    vs = TSET.kets
 
     def mean_ll(rho_hat):
         p = np.real(np.einsum("ki,ij,kj->k", vs.conj(), rho_hat, vs))
@@ -251,7 +285,7 @@ def test_mle_gradient_matches_finite_differences():
     # central finite differences of the mean log-likelihood in the
     # factorized parameterization, at random physical points
     rng = np.random.default_rng(16)
-    vs = TSET.projector_vectors()
+    vs = TSET.kets
     counts = rng.uniform(10, 500, size=16)
 
     def mean_ll_of_T(T):
@@ -295,7 +329,7 @@ def mean_loglike(rho, counts):
 def loglike_gradient(rho, counts):
     """R = sum_k f_k P_k / p_k - S / tr(S rho), S = sum_k P_k, written out
     from the 16 projectors."""
-    vs = TSET.projector_vectors()
+    vs = TSET.kets
     projectors = np.einsum("ki,kj->kij", vs, vs.conj())
     p = forward_probabilities(rho, TSET)
     seen = counts > 0
@@ -309,7 +343,7 @@ def test_forward_probabilities_match_projector_kets(seed, rank, n):
     # Re v_k^dagger m v_k from the kets, for a stack, one matrix and a
     # real-valued matrix that need not be symmetric
     rng = np.random.default_rng(seed)
-    vs = TSET.projector_vectors()
+    vs = TSET.kets
     states = np.array([random_state(rng, rank) for _ in range(n)])
     oracle = np.einsum("ki,nij,kj->nk", vs.conj(), states, vs).real
     np.testing.assert_allclose(forward_probabilities(states, TSET), oracle, rtol=0, atol=1e-14)
@@ -350,14 +384,14 @@ def test_stack_gives_each_bin_the_bits_it_gets_alone():
     freq = counts / counts.sum(axis=1)[:, None]
     grad = _gradient(probs, freq, TSET)
     starts = project_physical(linear_inversion(counts, TSET))
-    rho, iters, gnorm = _mle_ascent(starts, counts, TSET, 1e-8, 5000)
+    rho, iters, gnorm = _mle_ascent(starts, counts, TSET, 1e-8)
     assert np.count_nonzero(iters) >= 6 and np.all(gnorm < 1e-8)
     for k in range(12):
         one = slice(k, k + 1)
         assert np.array_equal(probs[k], forward_probabilities(states[k], TSET))
         assert np.array_equal(probs[one], forward_probabilities(states[one], TSET))
         assert np.array_equal(grad[one], _gradient(probs[one], freq[one], TSET))
-        alone = _mle_ascent(starts[one], counts[one], TSET, 1e-8, 5000)
+        alone = _mle_ascent(starts[one], counts[one], TSET, 1e-8)
         assert np.array_equal(rho[one], alone[0])
         assert np.array_equal(iters[one], alone[1]) and np.array_equal(gnorm[one], alone[2])
 
