@@ -24,6 +24,7 @@ from .coincidence import (
     PolarBinning,
     accidental_estimate,
     bin_polar,
+    check_accidentals_offset,
     find_coincidences,
     pooled_centroids,
     split_rois,
@@ -35,6 +36,7 @@ from .eventsim import (
     default_manifest,
     generate_run,
     read_events,
+    worker_count,
 )
 from .gridio import read_csv_matrix, write_csv_matrix, write_pgm
 from .polarimetry import set_from_labels, standard_set
@@ -135,32 +137,46 @@ def _load_run(run_dir: Path) -> tuple[RunManifest, dict]:
 
 
 def cmd_coincide(args) -> int:
+    from concurrent.futures import ThreadPoolExecutor
+
     config = CoincidenceConfig(window=args.window_ns)
     binning = PolarBinning(n_r=args.nr, n_theta=args.ntheta, r_max=args.r_max)
+    offset = 1000 * config.window
+    if args.subtract_accidentals:
+        check_accidentals_offset(config, offset)
+    workers = worker_count()
     manifest, paths = _load_run(Path(getattr(args, "in")))
-    # One setting's events in memory at a time: a streaming pass for the
-    # pooled centroids, then one file per setting.
+    geometry = manifest.geometry
+    # A streaming pass for the pooled centroids holds one file at a time;
+    # then each worker holds one setting's events.
     centroid_s, centroid_i = pooled_centroids(
-        (read_events(p) for p in paths.values()), manifest.geometry
+        (read_events(p) for p in paths.values()), geometry
     )
     binning = dataclasses.replace(binning, centroid_s=centroid_s, centroid_i=centroid_i)
+
+    def job(label: str):
+        streams = split_rois(read_events(paths[label]), geometry)
+        result = find_coincidences(streams, geometry, config)
+        hist, n_contended = bin_polar(result, binning, label), result.n_contended
+        del result  # the matched records go before the accidentals pass
+        acc = (accidental_estimate(streams, geometry, config, offset=offset)
+               if args.subtract_accidentals else 0)
+        return hist, acc, n_contended
+
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        done = list(pool.map(job, paths))
     bundle = {}
-    for label, path in paths.items():
-        streams = split_rois(read_events(path), manifest.geometry)
-        result = find_coincidences(streams, manifest.geometry, config)
-        hist = bin_polar(result, binning, label)
+    for hist, acc, n_contended in done:
         if args.subtract_accidentals:
-            acc = accidental_estimate(streams, manifest.geometry, config,
-                                      offset=1000 * config.window)
             # Accidentals are uniform over the angular grid (both singles
             # marginals are ring-symmetric); the radial map is scaled instead.
             per_bin = acc / (binning.n_theta**2)
             hist.counts_theta = np.maximum(hist.counts_theta - per_bin, 0.0)
             if hist.total_pairs:
                 hist.counts_r = hist.counts_r * max(0.0, 1.0 - acc / hist.total_pairs)
-        bundle[label] = hist.to_dict()
-        print(f"{label}: {hist.total_pairs} pairs ({hist.total_singles} singles, "
-              f"{hist.dropped_by_radius} beyond r_max, {result.n_contended} contended)")
+        bundle[hist.setting] = hist.to_dict()
+        print(f"{hist.setting}: {hist.total_pairs} pairs ({hist.total_singles} singles, "
+              f"{hist.dropped_by_radius} beyond r_max, {n_contended} contended)")
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     _writejson(out / "histograms.json", {
@@ -202,6 +218,10 @@ def cmd_tomo(args) -> int:
 
 
 def cmd_report(args) -> int:
+    if args.band is not None:
+        lo, hi = args.band
+        if not (math.isfinite(lo) and math.isfinite(hi) and lo <= hi):
+            raise ValueError(f"--band needs finite LO <= HI, got {lo} {hi}")
     tomo_dir = Path(getattr(args, "in"))
     maps_dir = Path(args.analytic)
     tomo_path = tomo_dir / "tomography.json"

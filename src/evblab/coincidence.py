@@ -2,11 +2,12 @@
 
 Event streams are numpy structured arrays in the on-disk record layout (see
 :mod:`evblab.eventsim`).  Each signal's candidate idlers are the index range
-``[lo, hi)`` that ``searchsorted`` finds in the time-sorted idler sub-stream.
-The single-match policy pairs each signal greedily with its nearest-in-time
+``[lo, hi)`` of the time-sorted idler sub-stream within the window.  The
+single-match policy pairs each signal greedily with its nearest-in-time
 unused idler (ties to the earlier idler), processing signals in time order;
-only signals whose ranges overlap another's go through a sequential loop.
-Polar binning evaluates ``(r, theta)`` once per pixel and gathers by pixel.
+signals whose ranges overlap another's are matched in rounds, one signal of
+each such cluster per round.  Polar binning evaluates each pixel's polar cell
+once and gathers by pixel.
 """
 
 from __future__ import annotations
@@ -29,8 +30,8 @@ class CoincidenceConfig:
     allow_multi_match: bool = False
 
     def __post_init__(self):
-        if not self.window > 0:
-            raise ValueError("coincidence window must be positive")
+        if not (self.window > 0 and math.isfinite(self.window)):
+            raise ValueError(f"coincidence window must be positive and finite, got {self.window}")
 
 
 @dataclass(frozen=True)
@@ -51,8 +52,8 @@ class PolarBinning:
     def __post_init__(self):
         if self.n_r < 1 or self.n_theta < 1:
             raise ValueError("need at least one bin per axis")
-        if not self.r_max > 0:
-            raise ValueError("r_max must be positive")
+        if not (self.r_max > 0 and math.isfinite(self.r_max)):
+            raise ValueError(f"r_max must be positive and finite, got {self.r_max}")
 
     def theta_edges(self) -> np.ndarray:
         return np.linspace(0.0, 2.0 * math.pi, self.n_theta + 1)
@@ -116,9 +117,8 @@ class CoincidenceHistogram:
 class MatchResult:
     """Matched pairs (parallel signal/idler record arrays) plus bookkeeping.
 
-    n_contended counts the signals that greedy matching resolved in its
-    sequential loop, those whose window overlaps another signal's (0 for
-    multi-matching).
+    n_contended counts the signals that greedy matching resolved in rounds,
+    those whose window overlaps another signal's (0 for multi-matching).
     """
 
     signal: np.ndarray
@@ -145,17 +145,25 @@ class MatchResult:
 # record rows of the signal-ROI and of the idler-ROI events.
 RoiStreams = namedtuple("RoiStreams", "events t_s t_i rows_s rows_i")
 
+# Times at or beyond this many ns are rejected: below it, a time plus a window
+# or an accidentals offset (each at most 2**62 ns) stays inside int64.
+TIME_LIMIT = 2**62
+
 
 def split_rois(events: np.ndarray, geometry) -> RoiStreams:
-    """Split a stream by ROI, rejecting one that is not sorted by time; the
-    matching functions take the split in place of the records."""
-    t = events["t"].astype(np.int64)
-    if len(t) > 1 and np.any(np.diff(t) < 0):
+    """Split a stream by ROI, rejecting one that is not sorted by time or that
+    reaches 2**62 ns; the matching functions take the split in place of the
+    records."""
+    t = events["t"]
+    if np.any(t[1:] < t[:-1]):
         raise FormatError("event stream is not sorted by time")
-    x, y = events["x"], events["y"]
+    if len(t) and t[-1] >= TIME_LIMIT:
+        raise FormatError(f"event time {t[-1]} ns reaches 2**62 ns")
+    x, y = events["x"].copy(), events["y"].copy()  # contiguous: 3x faster masks
     rows_s = np.flatnonzero(geometry.roi_signal.contains(x, y))
     rows_i = np.flatnonzero(geometry.roi_idler.contains(x, y))
-    return RoiStreams(events, t[rows_s], t[rows_i], rows_s, rows_i)
+    return RoiStreams(events, t[rows_s].view(np.int64), t[rows_i].view(np.int64),
+                      rows_s, rows_i)
 
 
 def _window_bounds(ts: np.ndarray, ti: np.ndarray, window: float):
@@ -163,24 +171,40 @@ def _window_bounds(ts: np.ndarray, ti: np.ndarray, window: float):
 
     Times are int64 ns, so the bound is floor(window) in integers: exact at
     any time, and without a float copy of either stream.  The cap keeps
-    t +- bound inside int64 for times below 2**62 ns (146 years).
+    t +- bound inside int64 for times below 2**62 ns (146 years).  Windows
+    hold few idlers, so ``hi`` steps forward from ``lo`` at most 8 times;
+    the signals still stepping after that take a search.
     """
-    bound = math.floor(min(window, 2**62))
+    bound = math.floor(min(window, TIME_LIMIT))
     lo = np.searchsorted(ti, ts - bound, side="left")
-    hi = np.searchsorted(ti, ts + bound, side="right")
+    top = ts + bound
+    # The signals still stepping have all taken the same steps, so their hi
+    # is sorted like lo, and those with an idler left to test come first.
+    m = np.searchsorted(lo, len(ti))
+    rest = np.flatnonzero(ti[lo[:m]] <= top[:m])
+    hi = lo.copy()
+    hi[rest] += 1
+    for _ in range(7):
+        h = hi[rest]
+        m = np.searchsorted(h, len(ti))
+        rest = rest[:m][ti[h[:m]] <= top[rest[:m]]]
+        hi[rest] += 1
+    hi[rest] = np.searchsorted(ti, top[rest], side="right")
     return lo, hi
+
+
+def _ragged(lo, hi):
+    """The indices of the ranges [lo, hi) laid end to end, and the start of
+    each range in that layout."""
+    n = hi - lo
+    start = np.cumsum(n) - n
+    return np.arange(n.sum()) + np.repeat(lo - start, n), start
 
 
 def _match_multi(ts: np.ndarray, ti: np.ndarray, window: float):
     lo, hi = _window_bounds(ts, ti, window)
-    counts = hi - lo
-    total = int(counts.sum())
-    if total == 0:
-        return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64), 0
-    sig_idx = np.repeat(np.arange(len(ts)), counts)
-    starts = np.repeat(lo, counts)
-    offsets = np.arange(total) - np.repeat(np.cumsum(counts) - counts, counts)
-    return sig_idx, starts + offsets, 0
+    iidx, _ = _ragged(lo, hi)
+    return np.repeat(np.arange(len(ts)), hi - lo), iidx, 0
 
 
 def _nearest_in_window(t, ti, lo, hi):
@@ -199,35 +223,33 @@ def _nearest_in_window(t, ti, lo, hi):
     return best
 
 
-def _greedy_loop(ts, ti, lo, hi):
-    """Signals in order, each to its nearest unused idler in [lo, hi), ties
-    to the earlier idler.  Lists in, (signal, idler) index lists out."""
-    used = bytearray(len(ti))
-    out_s, out_i = [], []
-    for k, t in enumerate(ts):
-        best = -1
-        best_d = 0
-        for j in range(lo[k], hi[k]):
-            if used[j]:
-                continue
-            d = abs(ti[j] - t)
-            if best < 0 or d < best_d:
-                best, best_d = j, d
-        if best >= 0:
-            used[best] = 1
-            out_s.append(k)
-            out_i.append(best)
-    return out_s, out_i
+def _nearest_unused(t, ti, lo, hi, used):
+    """Nearest idler to each time t inside its nonempty range [lo, hi) that is
+    not yet ``used``, the earliest one on a tie, or -1 where all are used.
+    The ranges must share no idler; the chosen idlers are marked used."""
+    cand, start = _ragged(lo, hi)
+    n = hi - lo
+    far = np.iinfo(np.int64).max
+    d = np.abs(ti[cand] - np.repeat(t, n))
+    d[used[cand]] = far
+    best_d = np.minimum.reduceat(d, start)
+    best = np.minimum.reduceat(np.where(d == np.repeat(best_d, n), cand, len(ti)), start)
+    best[best_d == far] = -1
+    used[best[best >= 0]] = True
+    return best
 
 
 def _match_greedy(ts: np.ndarray, ti: np.ndarray, window: float):
     """Greedy one-to-one matching, plus the number of signals it resolved in
-    the sequential loop.
+    rounds.
 
     Windows are monotone in signal time, so the signals with a candidate
     split into clusters where consecutive ranges overlap, and clusters share
-    no idler.  A signal alone in its cluster takes its nearest idler; the
-    loop runs only over multi-signal clusters and their idlers.
+    no idler.  A signal alone in its cluster takes its nearest idler.  In
+    round r, the r-th signal of every multi-signal cluster takes its nearest
+    idler that no earlier signal of its cluster took: the choice a loop over
+    the signals in time order makes.  There are as many rounds as signals in
+    the largest cluster.
     """
     lo, hi = _window_bounds(ts, ti, window)
     k = np.flatnonzero(hi > lo)
@@ -241,16 +263,16 @@ def _match_greedy(ts: np.ndarray, ti: np.ndarray, window: float):
     match[k[alone]] = _nearest_in_window(ts[k[alone]], ti, lo[alone], hi[alone])
 
     busy = ~alone
-    k, lo, hi, first, last = k[busy], lo[busy], hi[busy], first[busy], last[busy]
-    # The loop sees each cluster's idlers, [lo of its first signal, hi of its
-    # last), laid end to end; offset maps a loop index back to the stream.
-    span = hi[last] - lo[first]
-    offset = lo[first] - (np.cumsum(span) - span)
-    cand = np.repeat(offset, span) + np.arange(span.sum())
-    offset_k = offset[np.cumsum(first) - 1]
-    out_s, out_i = _greedy_loop(ts[k].tolist(), ti[cand].tolist(),
-                                (lo - offset_k).tolist(), (hi - offset_k).tolist())
-    match[k[np.asarray(out_s, dtype=np.int64)]] = cand[np.asarray(out_i, dtype=np.int64)]
+    k, lo, hi, first = k[busy], lo[busy], hi[busy], first[busy]
+    # each signal's place in its cluster; sorted by place, round r is a slice
+    place = np.arange(len(k)) - np.flatnonzero(first)[np.cumsum(first) - 1]
+    order = np.argsort(place, kind="stable")
+    k, lo, hi = k[order], lo[order], hi[order]
+    size = np.bincount(place)
+    ends = np.cumsum(size)
+    used = np.zeros(len(ti), dtype=bool)
+    for a, b in zip(ends - size, ends):
+        match[k[a:b]] = _nearest_unused(ts[k[a:b]], ti, lo[a:b], hi[a:b], used)
     sig = np.flatnonzero(match >= 0)
     return sig, match[sig], len(k)
 
@@ -275,19 +297,24 @@ def find_coincidences(events, geometry, config: CoincidenceConfig) -> MatchResul
     )
 
 
+def check_accidentals_offset(config: CoincidenceConfig, offset: float) -> None:
+    """Reject an accidentals offset that true pairs could survive (under 10
+    windows) or that could push int64 times past 2**63 (over 2**62 ns)."""
+    if not offset >= 10 * config.window:
+        raise ValueError("offset must be well outside the coincidence window")
+    if offset > TIME_LIMIT:
+        raise ValueError(f"accidentals offset {offset:g} ns exceeds 2**62 ns")
+
+
 def accidental_estimate(events, geometry, config: CoincidenceConfig,
                         offset: float) -> int:
     """Coincidence count after shifting idler times by ``offset`` ns.
 
-    Estimates the accidental (uncorrelated) pair rate; the offset must be
-    large compared to the window so no true pair survives the shift, and at
-    most 2**62 ns so that shifted times stay inside int64.
-    ``events`` is a record array or its :func:`split_rois`.
+    Estimates the accidental (uncorrelated) pair rate; the offset must pass
+    :func:`check_accidentals_offset`.  ``events`` is a record array or its
+    :func:`split_rois`.
     """
-    if not offset >= 10 * config.window:
-        raise ValueError("offset must be well outside the coincidence window")
-    if offset > 2**62:
-        raise ValueError(f"accidentals offset {offset:g} ns exceeds 2**62 ns")
+    check_accidentals_offset(config, offset)
     s = events if isinstance(events, RoiStreams) else split_rois(events, geometry)
     match = _match_multi if config.allow_multi_match else _match_greedy
     sidx, _, _ = match(s.t_s, s.t_i + int(round(offset)), config.window)
@@ -328,6 +355,8 @@ def pooled_centroids(event_arrays, geometry):
 
 
 def _polar_formula(dx, dy, binning: PolarBinning):
+    """The polar cell of offsets (dx, dy): theta-bin * n_r + r-bin, or
+    n_theta * n_r beyond r_max."""
     r = np.hypot(dx, dy)
     theta = np.mod(np.arctan2(dy, dx), 2.0 * math.pi)
     tbin = np.minimum(
@@ -335,14 +364,16 @@ def _polar_formula(dx, dy, binning: PolarBinning):
         binning.n_theta - 1,
     )
     rbin = np.minimum((r / binning.r_max * binning.n_r).astype(np.int64), binning.n_r - 1)
-    return r, rbin, tbin
+    return np.where(r <= binning.r_max, tbin * binning.n_r + rbin,
+                    binning.n_theta * binning.n_r)
 
 
-def _polar_bins(x, y, centroid, binning: PolarBinning):
-    """(r, r-bin, theta-bin) of each photon at pixel (x, y) about the centroid.
+def _polar_codes(x, y, centroid, binning: PolarBinning):
+    """The polar cell (see :func:`_polar_formula`) of each photon at pixel
+    (x, y) about the centroid.
 
     Photons sit on the pixel lattice, so the formula runs once per pixel of
-    their bounding box, and each photon gathers its pixel's entry; where the
+    their bounding box, and each photon gathers its pixel's cell; where the
     box holds more pixels than there are photons, it runs on the photons.
     """
     if len(x):
@@ -353,40 +384,35 @@ def _polar_bins(x, y, centroid, binning: PolarBinning):
             gy, gx = np.divmod(np.arange(n_pixels), width)
             table = _polar_formula((gx + x0).astype(float) - centroid[0],
                                    (gy + y0).astype(float) - centroid[1], binning)
-            pixel = (y.astype(np.intp) - y0) * width + (x.astype(np.intp) - x0)
-            return tuple(col[pixel] for col in table)
+            return table[(y.astype(np.intp) - y0) * width + (x.astype(np.intp) - x0)]
     return _polar_formula(x.astype(float) - centroid[0], y.astype(float) - centroid[1], binning)
 
 
 def bin_polar(result: MatchResult, binning: PolarBinning, setting: str = "") -> CoincidenceHistogram:
     """Histogram matched pairs over polar coordinates about the ROI centroids.
 
-    Pairs with either photon beyond r_max are dropped and counted.
+    Pairs with either photon beyond r_max are dropped and counted.  One
+    ``bincount`` over the pairs of polar cells, beyond-r_max cell included,
+    gives both maps and both counts.
     """
     if binning.centroid_s is None or binning.centroid_i is None:
         raise ConfigurationError(
             "binning centroids are unset; set them from pooled_centroids over the run")
-    r_s, rb_s, tb_s = _polar_bins(result.signal["x"], result.signal["y"],
-                                  binning.centroid_s, binning)
-    r_i, rb_i, tb_i = _polar_bins(result.idler["x"], result.idler["y"],
-                                  binning.centroid_i, binning)
-    keep = (r_s <= binning.r_max) & (r_i <= binning.r_max)
-    dropped = int(len(keep) - keep.sum())
-
     nt, nr = binning.n_theta, binning.n_r
-    flat_t = tb_s[keep] * nt + tb_i[keep]
-    counts_theta = np.bincount(flat_t, minlength=nt * nt).reshape(nt, nt)
-    flat_r = rb_s[keep] * nr + rb_i[keep]
-    counts_r = np.bincount(flat_r, minlength=nr * nr).reshape(nr, nr)
-
+    cells = nt * nr + 1
+    code_s = _polar_codes(result.signal["x"], result.signal["y"], binning.centroid_s, binning)
+    code_i = _polar_codes(result.idler["x"], result.idler["y"], binning.centroid_i, binning)
+    joint = np.bincount(code_s * cells + code_i, minlength=cells * cells)
+    within = joint.reshape(cells, cells)[:-1, :-1].reshape(nt, nr, nt, nr)
+    total = int(within.sum())
     return CoincidenceHistogram(
         setting=setting,
         binning=binning,
-        counts_theta=counts_theta,
-        counts_r=counts_r,
-        total_pairs=int(keep.sum()),
+        counts_theta=within.sum(axis=(1, 3)),
+        counts_r=within.sum(axis=(0, 2)),
+        total_pairs=total,
         total_singles=result.n_singles,
-        dropped_by_radius=dropped,
+        dropped_by_radius=len(code_s) - total,
         skipped_outside_roi=result.skipped_outside_roi,
         total_events=result.total_events,
     )

@@ -503,8 +503,10 @@ def generate_setting_events(state, setting: MeasurementSetting,
     return events, stats
 
 
-def _worker_count() -> int:
-    """Event-synthesis workers: the core count, capped by EVBLAB_THREADS."""
+def worker_count() -> int:
+    """Worker threads for per-setting work (event synthesis here, matching
+    and binning in the CLI's ``coincide``): the core count, capped by
+    EVBLAB_THREADS."""
     n = os.cpu_count() or 1
     cap = os.environ.get("EVBLAB_THREADS", str(n))
     try:
@@ -524,7 +526,7 @@ def generate_run(manifest: RunManifest, out_dir) -> list[dict]:
     from concurrent.futures import ThreadPoolExecutor
     from pathlib import Path
 
-    workers = _worker_count()
+    workers = worker_count()
     state = evb_state(manifest.qplate_s, manifest.qplate_i)
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)

@@ -314,6 +314,60 @@ def test_coincide_splits_each_setting_once(small_run, tmp_path, monkeypatch):
     assert len(calls) == 16
 
 
+def test_coincide_deterministic_across_thread_env(tmp_path, monkeypatch, capsys):
+    # settings are matched on a worker pool; the bundle and the summary lines
+    # keep manifest order and do not depend on the worker count
+    run_dir = tmp_path / "noisy_run"
+    assert main(["generate", "--qs", "0.5", "--qi", "0.5", "--pairs", "20000",
+                 "--dark-rate", "50", "--jitter-ns", "1", "--werner-p", "0.7",
+                 "--seed", "4", "--out", str(run_dir)]) == 0
+    capsys.readouterr()
+    outputs = []
+    for threads in ("1", "3"):
+        monkeypatch.setenv("EVBLAB_THREADS", threads)
+        out = tmp_path / f"c{threads}"
+        assert main(["coincide", "--in", str(run_dir), "--out", str(out),
+                     "--subtract-accidentals"]) == 0
+        text = capsys.readouterr().out.replace(str(out), "OUT")
+        outputs.append(((out / "histograms.json").read_bytes(), text))
+    assert outputs[0] == outputs[1]
+    labels = RunManifest.from_json((run_dir / "manifest.json").read_text()).settings
+    assert [ln.split(":")[0] for ln in outputs[0][1].splitlines()[:-1]] == list(labels)
+
+
+def test_coincide_rejects_non_integer_thread_cap(small_run, tmp_path, monkeypatch, capsys):
+    reads = []
+
+    def spy(path):
+        reads.append(path)
+        return read_events(path)
+
+    monkeypatch.setattr(cli, "read_events", spy)
+    monkeypatch.setenv("EVBLAB_THREADS", "two")
+    out = tmp_path / "c"
+    assert main(["coincide", "--in", str(small_run), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert "EVBLAB_THREADS" in err and "'two'" in err
+    assert not out.exists()
+    assert reads == []
+
+
+def test_coincide_rejects_unsorted_event_file(small_run, tmp_path, capsys):
+    import shutil
+
+    from evblab.eventsim import write_events
+
+    broken = tmp_path / "unsorted_run"
+    shutil.copytree(small_run, broken)
+    events = read_events(broken / "events_HV.evb")
+    events["t"][11] = events["t"][10] - 1
+    write_events(broken / "events_HV.evb", events)
+    out = tmp_path / "c"
+    assert main(["coincide", "--in", str(broken), "--out", str(out)]) == 1
+    assert "not sorted by time" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_coincide_rejects_accidentals_offset_beyond_int64(small_run, tmp_path, capsys):
     # the accidentals shift is 1000 windows: 1e19 ns would overflow int64 times
     out = tmp_path / "c"
@@ -358,10 +412,20 @@ def test_coincide_zero_event_files(tmp_path):
      "run span 2e+20 ns (duration 2e+11 s plus 10 jitter widths of 1 ns) reaches 2**62 ns"),
     (["generate", "--qs", "0.5", "--qi", "0.5", "--jitter-ns", "1e30", "--seed", "1"],
      "10 jitter widths of 1e+30 ns) reaches 2**62 ns"),
+    (["report", "--in", "{missing}", "--analytic", "{missing}", "--band", "0.6", "0.5"],
+     "--band needs finite LO <= HI, got 0.6 0.5"),
+    (["report", "--in", "{missing}", "--analytic", "{missing}", "--band", "nan", "1"],
+     "--band needs finite LO <= HI, got nan 1.0"),
+    (["coincide", "--in", "{run}", "--window-ns", "inf"],
+     "coincidence window must be positive and finite, got inf"),
+    (["coincide", "--in", "{run}", "--r-max", "inf"], "r_max must be positive and finite, got inf"),
+    (["coincide", "--in", "{run}", "--window-ns", "1e16", "--subtract-accidentals"],
+     "accidentals offset 1e+19 ns exceeds 2**62 ns"),
 ], ids=["simulate-ntheta", "coincide-no-run", "tomo-no-bundle", "report-no-inputs",
         "coincide-ntheta", "coincide-r-max", "generate-seed", "generate-dark-rate-inf",
         "generate-dark-rate-nan", "generate-jitter-nan", "generate-jitter-inf",
-        "generate-time-span", "generate-jitter-span"])
+        "generate-time-span", "generate-jitter-span", "report-band-reversed", "report-band-nan",
+        "coincide-window-inf", "coincide-r-max-inf", "coincide-accidentals-offset"])
 def test_bad_input_leaves_no_output_directory(small_run, tmp_path, monkeypatch, capsys,
                                               argv, message):
     # flags and inputs are checked before any event file is read or --out is made

@@ -92,6 +92,16 @@ def greedy_reference(ts, ti, window):
     return out_s, out_i
 
 
+def contended_reference(ts, ti, window):
+    """The signals whose candidate range shares an idler with another
+    signal's range: the ones greedy matching must resolve in order."""
+    lo = np.searchsorted(ti, ts - window, side="left").tolist()
+    hi = np.searchsorted(ti, ts + window, side="right").tolist()
+    ranges = [set(range(a, b)) for a, b in zip(lo, hi)]
+    return sum(any(r & other for j, other in enumerate(ranges) if j != k)
+               for k, r in enumerate(ranges))
+
+
 def random_stream(rng, n_max=2000):
     n_s = int(rng.integers(0, n_max // 2))
     n_i = int(rng.integers(0, n_max // 2))
@@ -227,6 +237,73 @@ def test_contended_signals_counted():
     assert find_coincidences(make_events([100, 102], [101]), GEO, multi).n_contended == 0
 
 
+def assert_rounds_equal_reference(ts, ti, window):
+    sig, idl, n_contended = coincidence._match_greedy(ts, ti, window)
+    assert (sig.tolist(), idl.tolist()) == greedy_reference(ts, ti, window)
+    assert n_contended == contended_reference(ts, ti, window)
+
+
+def test_rounds_resolve_a_chain_of_signals_in_order():
+    # 12 signals 1 ns apart compete for 12 idlers: one cluster, 12 rounds
+    ts = np.arange(100, 112, dtype=np.int64)
+    ti = np.arange(103, 115, dtype=np.int64)
+    assert_rounds_equal_reference(ts, ti, 10)
+    assert coincidence._match_greedy(ts, ti, 10)[2] == 12
+    # fewer idlers than signals: the last signals of the chain find all taken
+    assert_rounds_equal_reference(ts, ti[:5], 10)
+
+
+clustered_times = st.lists(
+    st.tuples(st.integers(0, 8), st.integers(0, 25)), max_size=60,
+).map(lambda pairs: sorted(1000 * c + dt for c, dt in pairs))
+
+
+@given(ts=clustered_times, ti=clustered_times, window=st.sampled_from([1, 2.5, 4, 10]))
+@settings(max_examples=300, deadline=None)
+def test_rounds_equal_greedy_reference_on_clustered_streams(ts, ti, window):
+    # a few dense bursts far apart: clusters of many signals, all matched in rounds
+    assert_rounds_equal_reference(np.array(ts, dtype=np.int64), np.array(ti, dtype=np.int64),
+                                  window)
+
+
+@pytest.mark.parametrize("base", [1000, 2**60])
+def test_window_bounds_equal_two_searches(base):
+    # windows of up to 7 idlers end within the 8 steps; 8, 9 and 50 go on to
+    # the search.  Idlers sit on both edges of each window and just outside.
+    window = 100
+    sizes = [0, 1, 7, 8, 9, 50]
+    ts = base + 10_000 * np.arange(1, 7, dtype=np.int64)
+    ti = []
+    for t, n in zip(ts.tolist(), sizes):
+        ti += [t - window - 1, t + window + 1]
+        ti += (t + np.linspace(-window, window, n).astype(np.int64)).tolist()
+    ti = np.array(sorted(ti), dtype=np.int64)
+    lo, hi = coincidence._window_bounds(ts, ti, window)
+    assert np.array_equal(lo, np.searchsorted(ti, ts - window, side="left"))
+    assert np.array_equal(hi, np.searchsorted(ti, ts + window, side="right"))
+    assert (hi - lo).tolist() == sizes
+    # no idlers at all, or none after the last window
+    assert [b.tolist() for b in coincidence._window_bounds(ts, ti[:0], window)] == [[0] * 6] * 2
+    lo, hi = coincidence._window_bounds(ts, ti[:-1], window)
+    assert (hi[-1], hi[-1] - lo[-1]) == (len(ti) - 1, 50)
+
+
+def test_config_and_binning_require_finite_values():
+    with pytest.raises(ValueError, match="coincidence window must be positive and finite"):
+        CoincidenceConfig(window=math.inf)
+    with pytest.raises(ValueError, match="r_max must be positive and finite"):
+        PolarBinning(r_max=math.inf)
+
+
+def test_split_rejects_times_at_2_62():
+    ev = make_events([5, 2**62 - 1])
+    assert len(split_rois(ev, GEO).t_s) == 2
+    for late in (2**62, 2**63 + 5):
+        ev["t"][1] = late
+        with pytest.raises(FormatError, match="reaches 2\\*\\*62 ns"):
+            split_rois(ev, GEO)
+
+
 # ---------------------------------------------------------------------------
 # Polar binning
 
@@ -265,9 +342,11 @@ def assert_bins_match_formula(result, binning):
     assert got.dropped_by_radius == int(len(keep) - keep.sum())
     for photons, centroid in ((result.signal, binning.centroid_s),
                               (result.idler, binning.centroid_i)):
-        got_cols = coincidence._polar_bins(photons["x"], photons["y"], centroid, binning)
-        for g, w in zip(got_cols, polar_reference(photons["x"], photons["y"], centroid, binning)):
-            assert np.array_equal(g, w)
+        r, rbin, tbin = polar_reference(photons["x"], photons["y"], centroid, binning)
+        cells = np.where(r <= binning.r_max, tbin * binning.n_r + rbin,
+                         binning.n_theta * binning.n_r)
+        got_cells = coincidence._polar_codes(photons["x"], photons["y"], centroid, binning)
+        assert np.array_equal(got_cells, cells)
 
 
 @pytest.mark.parametrize("seed", range(4))
