@@ -122,12 +122,20 @@ def cmd_generate(args) -> int:
     return 0
 
 
+def _load(path: Path, parse):
+    """``parse`` of the JSON in ``path``; a missing file, or JSON of the wrong
+    shape (a KeyError, TypeError or AttributeError), is a FormatError."""
+    if not path.exists():
+        raise FormatError(f"missing input: no {path.name} in {path.parent}")
+    try:
+        return parse(json.loads(path.read_text()))
+    except (KeyError, TypeError, AttributeError) as exc:
+        raise FormatError(f"{path}: malformed input ({type(exc).__name__}: {exc})") from None
+
+
 def _load_run(run_dir: Path) -> tuple[RunManifest, dict]:
     """The run's manifest and the path of each setting's event file."""
-    manifest_path = run_dir / "manifest.json"
-    if not manifest_path.exists():
-        raise FormatError(f"no manifest.json in {run_dir}")
-    manifest = RunManifest.from_json(manifest_path.read_text())
+    manifest = _load(run_dir / "manifest.json", RunManifest.from_dict)
     paths = {}
     for label, fname in manifest.settings.items():
         paths[label] = run_dir / fname
@@ -191,13 +199,9 @@ def cmd_coincide(args) -> int:
 
 
 def cmd_tomo(args) -> int:
-    in_dir = Path(getattr(args, "in"))
-    bundle_path = in_dir / "histograms.json"
-    if not bundle_path.exists():
-        raise FormatError(f"no histograms.json in {in_dir}")
-    bundle = json.loads(bundle_path.read_text())
-    hists = [CoincidenceHistogram.from_dict(d) for d in bundle["settings"].values()]
-    labels = sorted(bundle["settings"])
+    hists = _load(Path(getattr(args, "in")) / "histograms.json", lambda bundle: [
+        CoincidenceHistogram.from_dict(d) for d in bundle["settings"].values()])
+    labels = sorted(h.setting for h in hists)
     std = standard_set()
     tset = std if sorted(std.labels) == labels else set_from_labels(labels)
     tomo = angular_tomography(
@@ -223,19 +227,15 @@ def cmd_report(args) -> int:
         if not (math.isfinite(lo) and math.isfinite(hi) and lo <= hi):
             raise ValueError(f"--band needs finite LO <= HI, got {lo} {hi}")
     tomo_dir = Path(getattr(args, "in"))
-    maps_dir = Path(args.analytic)
-    tomo_path = tomo_dir / "tomography.json"
-    maps_path = maps_dir / "bell_maps.json"
-    for p in (tomo_path, maps_path):
-        if not p.exists():
-            raise FormatError(f"missing input {p}")
-    tomo = json.loads(tomo_path.read_text())
-    analytic = json.loads(maps_path.read_text())
+    tomo = _load(tomo_dir / "tomography.json",
+                 lambda d: {k: float(d[k]) for k in ("average_concurrence", "concurrence_se")})
+    analytic = _load(Path(args.analytic) / "bell_maps.json", lambda d: {
+        name: np.asarray(d["maps"][name], dtype=float) for name in BELL_LABELS})
 
     lines = []
     metrics = {}
     for name in BELL_LABELS:
-        a = np.asarray(analytic["maps"][name], dtype=float)
+        a = analytic[name]
         r = read_csv_matrix(tomo_dir / f"bell_{name}.csv")
         if a.shape != r.shape:
             raise ConfigurationError(

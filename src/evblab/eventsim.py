@@ -14,7 +14,8 @@ density in two exact stages: both radii once, from the radial marginal of
 the density's diagonal part P (gamma laws in r^2), then uniform angles,
 redrawn until accepted at ratio (1 + X/P) / envelope.  This is exact because,
 once equal modes are merged, the interference terms X integrate to zero over
-the angles.  One sort of unique time-above-index keys orders records.
+the angles.  One sort of unique time-above-index keys orders records.  The
+tot field is written as 0, and no stage reads it.
 """
 
 from __future__ import annotations
@@ -44,13 +45,6 @@ HEADER_DTYPE = np.dtype(
 EVENT_DTYPE = np.dtype(
     [("x", "<u2"), ("y", "<u2"), ("t", "<u8"), ("tot", "<u2"), ("reserved", "<u2")]
 )
-
-# Cosmetic time-over-threshold distribution: fixed discrete values with a
-# geometric-decay weight; carried through the pipeline, never analyzed.
-TOT_VALUES = np.arange(25, 401, 25, dtype=np.uint16)
-_TOT_DECAY = 4.0
-_w = np.exp(-np.arange(len(TOT_VALUES)) / _TOT_DECAY)
-TOT_WEIGHTS = _w / _w.sum()
 
 MAX_ATTEMPT_FACTOR = 10_000  # rejection budget per requested sample
 
@@ -84,14 +78,13 @@ class Rect:
 
 @dataclass(frozen=True)
 class CameraGeometry:
-    """Sensor size, the two beam ROIs, their centroids, and the beam waist."""
+    """Sensor size, the two beam ROIs and the beam waist.  The generator
+    centres each beam on its ROI."""
 
     width: int = 128
     height: int = 64
     roi_signal: Rect = Rect(10, 10, 40, 40)
     roi_idler: Rect = Rect(78, 10, 40, 40)
-    centroid_s: tuple[float, float] | None = None
-    centroid_i: tuple[float, float] | None = None
     waist_px: float = 10.0
 
     def __post_init__(self):
@@ -103,10 +96,14 @@ class CameraGeometry:
             raise ValueError("signal and idler ROIs must be disjoint")
         if not self.waist_px > 0:
             raise ValueError("waist must be positive")
-        if self.centroid_s is None:
-            object.__setattr__(self, "centroid_s", self.roi_signal.center())
-        if self.centroid_i is None:
-            object.__setattr__(self, "centroid_i", self.roi_idler.center())
+
+    @property
+    def centroid_s(self) -> tuple[float, float]:
+        return self.roi_signal.center()
+
+    @property
+    def centroid_i(self) -> tuple[float, float]:
+        return self.roi_idler.center()
 
     def to_dict(self) -> dict:
         """Fields as JSON-ready values, each ROI as [x0, y0, width, height]."""
@@ -117,7 +114,6 @@ class CameraGeometry:
     def from_dict(cls, d: dict) -> "CameraGeometry":
         return cls(width=d["width"], height=d["height"],
                    roi_signal=Rect(*d["roi_signal"]), roi_idler=Rect(*d["roi_idler"]),
-                   centroid_s=tuple(d["centroid_s"]), centroid_i=tuple(d["centroid_i"]),
                    waist_px=d["waist_px"])
 
 
@@ -203,7 +199,10 @@ class RunManifest:
 
     @classmethod
     def from_json(cls, text: str) -> "RunManifest":
-        d = json.loads(text)
+        return cls.from_dict(json.loads(text))
+
+    @classmethod
+    def from_dict(cls, d: dict) -> "RunManifest":
         return cls(geometry=CameraGeometry.from_dict(d["geometry"]), settings=dict(d["settings"]),
                    pair_rate=d["pair_rate"], duration=d["duration"],
                    noise=NoiseModel.from_dict(d["noise"]), rng_seed=d["rng_seed"],
@@ -327,16 +326,12 @@ class PairPositionSampler:
         return np.divide(a, norm, out=np.zeros_like(a), where=norm > 0)
 
     def _angle_ratio(self, a, th_s, th_i):
-        """(1 + X/P) / envelope from the amplitudes ``a`` of ``_amplitudes``."""
+        """(1 + X/P) / envelope, the target over envelope times proposal, from the
+        amplitudes ``a`` of ``_amplitudes``; 1/envelope where P = 0, never drawn."""
         x = np.ones(np.shape(th_s))
         for k, l, dl_s, dl_i, phase in self._pairs:
             x += 2.0 * a[k] * a[l] * np.cos(dl_s * th_s + dl_i * th_i + phase)
         return x / self.envelope
-
-    def _density_ratio(self, r_s, th_s, r_i, th_i):
-        """target / (envelope * W * proposal) = (1 + X/P) / envelope, the r_s
-        r_i Jacobians cancelled; 1/envelope where P = 0, which is never drawn."""
-        return self._angle_ratio(self._amplitudes(r_s, r_i), th_s, th_i)
 
     def _radii(self, n: int, rng):
         """n radius pairs from the radial marginal: a class, then on each arm
@@ -406,18 +401,10 @@ def _pixels(r, theta, centroid):
     return x, y
 
 
-def _tot(rng, m: int) -> np.ndarray:
-    """m draws from TOT_WEIGHTS by exact inversion of the truncated geometric
-    law: floor(-decay * log(1 - (1 - e^(-16/decay)) u)), clamped to 15."""
-    u = rng.random(m) * math.expm1(-len(TOT_VALUES) / _TOT_DECAY)
-    k = (-_TOT_DECAY * np.log1p(u, out=u)).astype(np.intp)  # >= 0: truncation floors
-    return TOT_VALUES[np.minimum(k, len(TOT_VALUES) - 1, out=k)]
-
-
 def _detect_photons(r, theta, centroid, t_true, noise: NoiseModel,
                     geometry: CameraGeometry, rng):
     """Efficiency thinning, jitter, pixel mapping for one arm; returns the
-    (x, y, t, tot) columns of its records."""
+    (x, y, t) columns of its records."""
     n = len(r)
     keep = rng.random(n) < noise.efficiency
     t = np.asarray(t_true, dtype=float)
@@ -426,16 +413,16 @@ def _detect_photons(r, theta, centroid, t_true, noise: NoiseModel,
     x, y = _pixels(r, theta, centroid)
     keep &= (x >= 0) & (x < geometry.width) & (y >= 0) & (y < geometry.height)
     return (x[keep].astype(np.uint16), y[keep].astype(np.uint16),
-            np.maximum(np.rint(t[keep]), 0.0).astype(np.uint64), _tot(rng, int(keep.sum())))
+            np.maximum(np.rint(t[keep]), 0.0).astype(np.uint64))
 
 
 def _dark_events(noise: NoiseModel, geometry: CameraGeometry, duration_s: float, rng):
-    """Uniform dark counts over the sensor and the run, as (x, y, t, tot) columns."""
+    """Uniform dark counts over the sensor and the run, as (x, y, t) columns."""
     mean = noise.dark_rate * duration_s * geometry.width * geometry.height
     n = int(rng.poisson(mean)) if mean > 0 else 0
     return (rng.integers(0, geometry.width, size=n).astype(np.uint16),
             rng.integers(0, geometry.height, size=n).astype(np.uint16),
-            rng.uniform(0.0, duration_s * 1e9, size=n).astype(np.uint64), _tot(rng, n))
+            rng.uniform(0.0, duration_s * 1e9, size=n).astype(np.uint64))
 
 
 def _time_order(t: np.ndarray) -> np.ndarray:
@@ -487,7 +474,7 @@ def generate_setting_events(state, setting: MeasurementSetting,
     cols = [np.concatenate(c) for c in zip(*cols)]
     order = _time_order(cols[2])
     events = np.zeros(len(order), dtype=EVENT_DTYPE)
-    for name, col in zip(("x", "y", "t", "tot"), cols):
+    for name, col in zip(("x", "y", "t"), cols):
         events[name] = col[order]
     stats = {
         "setting": setting.label,

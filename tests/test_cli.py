@@ -444,6 +444,55 @@ def test_bad_input_leaves_no_output_directory(small_run, tmp_path, monkeypatch, 
     assert reads == []
 
 
+def test_coincide_reads_a_manifest_with_beam_centres(small_run, tmp_path):
+    # manifests used to record each beam's centre, always its ROI centre:
+    # one of that format loads to the same geometry and gives the same histograms
+    old = tmp_path / "old"
+    old.mkdir()
+    for f in small_run.glob("*.evb"):
+        (old / f.name).symlink_to(f)
+    d = json.loads((small_run / "manifest.json").read_text())
+    assert "centroid_s" not in d["geometry"]
+    d["geometry"] = {"centroid_i": [97.5, 29.5], "centroid_s": [29.5, 29.5], "height": 64,
+                     "roi_idler": [78, 10, 40, 40], "roi_signal": [10, 10, 40, 40],
+                     "waist_px": 10.0, "width": 128}
+    (old / "manifest.json").write_text(json.dumps(d, indent=2, sort_keys=True))
+    loaded = RunManifest.from_json((old / "manifest.json").read_text())
+    assert loaded == RunManifest.from_json((small_run / "manifest.json").read_text())
+    for run, out in ((small_run, tmp_path / "new_c"), (old, tmp_path / "old_c")):
+        assert main(["coincide", "--in", str(run), "--out", str(out)]) == 0
+    assert ((tmp_path / "old_c" / "histograms.json").read_bytes()
+            == (tmp_path / "new_c" / "histograms.json").read_bytes())
+
+
+@pytest.mark.parametrize("command,name,text", [
+    ("coincide", "manifest.json", "{}"),
+    ("coincide", "manifest.json", "[1]"),
+    ("tomo", "histograms.json", "{}"),
+    ("tomo", "histograms.json", '{"settings": {"HH": {}}}'),
+    ("tomo", "histograms.json", '{"settings": []}'),
+    ("tomo", "histograms.json", "[1]"),
+    ("report", "tomography.json", "{}"),
+    ("report", "bell_maps.json", '{"maps": {}}'),
+    ("report", "bell_maps.json", "[1]"),
+], ids=["manifest-empty", "manifest-list", "histograms-empty", "histograms-setting-empty",
+        "histograms-settings-list", "histograms-list", "tomography-empty", "bell-maps-empty",
+        "bell-maps-list"])
+def test_malformed_bundle_exits_with_one_error_line(tmp_path, capsys, command, name, text):
+    # JSON of the wrong shape is a data error naming the file, not a traceback
+    src, out = tmp_path / "in", tmp_path / "out"
+    src.mkdir()
+    (src / name).write_text(text)
+    if command == "report" and name != "tomography.json":
+        (src / "tomography.json").write_text(
+            json.dumps({"average_concurrence": 0.5, "concurrence_se": 0.1}))
+    extra = ["--analytic", str(src)] if command == "report" else []
+    assert main([command, "--in", str(src), *extra, "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {src / name}: malformed input (") and err.count("\n") == 1
+    assert not out.exists()
+
+
 def test_bundles_echo_their_parsed_flags(small_run, tmp_path):
     # each bundle's config is exactly its subcommand's flags, minus the
     # directories; the JSON text pins the types too

@@ -313,8 +313,8 @@ def test_vanishing_density_radius_accepts_at_mean_rate():
     # at the mean rate 1/envelope there, so such a radius cannot stall sample
     sampler = PairPositionSampler([1.0, 1j], [1, -2], [0, 0], [0, 0], 10.0, 10.0)
     th = np.linspace(0.0, 6.0, 7)
-    np.testing.assert_array_equal(sampler._density_ratio(np.zeros(7), th, np.ones(7), th),
-                                  np.full(7, 0.5))
+    a = sampler._amplitudes(np.zeros(7), np.ones(7))
+    np.testing.assert_array_equal(sampler._angle_ratio(a, th, th), np.full(7, 0.5))
 
 
 def test_angle_draws_per_pair_at_envelope():
@@ -389,7 +389,7 @@ def test_density_ratio_matches_full_target(terms, copies, waists, pts):
         return
     r_s, th_s, r_i, th_i = (np.array(c) for c in zip(*pts))
     r_s, r_i = r_s * waists[0], r_i * waists[1]
-    ratio = sampler._density_ratio(r_s, th_s, r_i, th_i)
+    ratio = sampler._angle_ratio(sampler._amplitudes(r_s, r_i), th_s, th_i)
     want = density_ratio_reference(sampler, r_s, th_s, r_i, th_i)
     drawn = np.isfinite(want)
     # ratios lie in [0, 1]: 1e-12 relative to that scale
@@ -403,7 +403,8 @@ def test_singleton_groups_accept_everything_without_modes(monkeypatch):
     assert sampler.envelope == 1
     monkeypatch.setattr(es, "radial_amplitudes", None)  # any mode evaluation fails
     r = np.linspace(0.0, 30.0, 7)
-    np.testing.assert_array_equal(sampler._density_ratio(r, r, r, r), np.ones(7))
+    np.testing.assert_array_equal(sampler._angle_ratio(sampler._amplitudes(r, r), r, r),
+                                  np.ones(7))
 
 
 @pytest.mark.parametrize("n", [0, 1, 2, 3, 4, 7, 8, 255, 256, 1000])
@@ -541,20 +542,14 @@ def test_intensity_sampler_mixture():
     assert p > 0.01
 
 
-def test_tot_values_from_fixed_table(tmp_path):
-    man = small_manifest(n_pairs=500, seed=41)
-    generate_run(man, tmp_path)
-    ev = read_events(tmp_path / next(iter(man.settings.values())))
-    assert set(np.unique(ev["tot"])).issubset(set(es.TOT_VALUES.tolist()))
-
-
-def test_tot_frequencies_follow_weights():
-    # pair photons and dark events together: chi-square against TOT_WEIGHTS
-    man = small_manifest(n_pairs=20_000, seed=53, dark_rate=2.0)
+def test_generated_records_carry_zero_tot():
+    # pair photons and dark events alike: the generator fills x, y and t only
+    man = small_manifest(n_pairs=20_000, seed=53, efficiency=0.8, dark_rate=2.0)
     state = evb_state(man.qplate_s, man.qplate_i)
-    events, _ = generate_setting_events(state, setting_from_label("HV"), man,
-                                        np.random.default_rng(53))
-    counts = np.array([np.count_nonzero(events["tot"] == v) for v in es.TOT_VALUES])
-    assert counts.sum() == len(events) > 40_000
-    _, p = chisquare(counts, es.TOT_WEIGHTS * len(events))
-    assert p > 0.01
+    events, stats = generate_setting_events(state, setting_from_label("HV"), man,
+                                            np.random.default_rng(53))
+    # the gap between the ROIs is 3 waists from either beam: dark events only
+    gap = (events["x"] >= 60) & (events["x"] < 68)
+    assert stats["passed_entangled"] + stats["passed_white"] > 1000
+    assert np.count_nonzero(gap) > 1000
+    np.testing.assert_array_equal(events["tot"], 0)
