@@ -124,12 +124,12 @@ def cmd_generate(args) -> int:
 
 def _load(path: Path, parse):
     """``parse`` of the JSON in ``path``; a missing file, or JSON of the wrong
-    shape (a KeyError, TypeError or AttributeError), is a FormatError."""
+    shape (a KeyError, TypeError, AttributeError or FormatError), is a FormatError."""
     if not path.exists():
         raise FormatError(f"missing input: no {path.name} in {path.parent}")
     try:
         return parse(json.loads(path.read_text()))
-    except (KeyError, TypeError, AttributeError) as exc:
+    except (KeyError, TypeError, AttributeError, FormatError) as exc:
         raise FormatError(f"{path}: malformed input ({type(exc).__name__}: {exc})") from None
 
 
@@ -148,7 +148,7 @@ def cmd_coincide(args) -> int:
     from concurrent.futures import ThreadPoolExecutor
 
     config = CoincidenceConfig(window=args.window_ns)
-    binning = PolarBinning(n_r=args.nr, n_theta=args.ntheta, r_max=args.r_max)
+    binning = PolarBinning(n_theta=args.ntheta, r_max=args.r_max)
     offset = 1000 * config.window
     if args.subtract_accidentals:
         check_accidentals_offset(config, offset)
@@ -177,11 +177,9 @@ def cmd_coincide(args) -> int:
     for hist, acc, n_contended in done:
         if args.subtract_accidentals:
             # Accidentals are uniform over the angular grid (both singles
-            # marginals are ring-symmetric); the radial map is scaled instead.
+            # marginals are ring-symmetric).
             per_bin = acc / (binning.n_theta**2)
             hist.counts_theta = np.maximum(hist.counts_theta - per_bin, 0.0)
-            if hist.total_pairs:
-                hist.counts_r = hist.counts_r * max(0.0, 1.0 - acc / hist.total_pairs)
         bundle[hist.setting] = hist.to_dict()
         print(f"{hist.setting}: {hist.total_pairs} pairs ({hist.total_singles} singles, "
               f"{hist.dropped_by_radius} beyond r_max, {n_contended} contended)")
@@ -189,8 +187,6 @@ def cmd_coincide(args) -> int:
     out.mkdir(parents=True, exist_ok=True)
     _writejson(out / "histograms.json", {
         "config": _config(args),
-        "centroid_s": list(centroid_s),
-        "centroid_i": list(centroid_i),
         "settings": bundle,
         "version": __version__,
     })
@@ -333,7 +329,6 @@ def build_parser() -> argparse.ArgumentParser:
     coi.add_argument("--out", required=True)
     coi.add_argument("--window-ns", type=float, default=10.0)
     coi.add_argument("--ntheta", type=int, default=16)
-    coi.add_argument("--nr", type=int, default=5)
     coi.add_argument("--r-max", type=float, default=20.0)
     coi.add_argument("--subtract-accidentals", action="store_true")
     coi.set_defaults(func=cmd_coincide)

@@ -36,21 +36,21 @@ class CoincidenceConfig:
 
 @dataclass(frozen=True)
 class PolarBinning:
-    """Polar histogram geometry about per-ROI centroids.
+    """Angular histogram geometry about per-ROI centroids: n_theta azimuthal
+    bins over the disc of radius r_max.
 
     Centroids may be left unset at construction but must be set before
     binning, to one pair shared by all settings of a run
     (:func:`pooled_centroids`).  Equal binnings share grid and centroids.
     """
 
-    n_r: int = 5
     n_theta: int = 16
     r_max: float = 20.0
     centroid_s: tuple[float, float] | None = None
     centroid_i: tuple[float, float] | None = None
 
     def __post_init__(self):
-        if self.n_r < 1 or self.n_theta < 1:
+        if self.n_theta < 1:
             raise ValueError("need at least one bin per axis")
         if not (self.r_max > 0 and math.isfinite(self.r_max)):
             raise ValueError(f"r_max must be positive and finite, got {self.r_max}")
@@ -58,22 +58,19 @@ class PolarBinning:
     def theta_edges(self) -> np.ndarray:
         return np.linspace(0.0, 2.0 * math.pi, self.n_theta + 1)
 
-    def r_edges(self) -> np.ndarray:
-        return np.linspace(0.0, self.r_max, self.n_r + 1)
-
 
 @dataclass
 class CoincidenceHistogram:
-    """Angular and radial pair-count maps of one measurement setting.
+    """The angular pair-count map of one measurement setting, plus its
+    bookkeeping counts.
 
-    counts_theta[theta_s, theta_i] sums over radius, counts_r[r_s, r_i] over
-    angle; the one joint histogram is the pixel-pair :class:`PixelPairHistogram`.
+    counts_theta[theta_s, theta_i] sums over radius within r_max; the one
+    joint histogram is the pixel-pair :class:`PixelPairHistogram`.
     """
 
     setting: str
     binning: PolarBinning
     counts_theta: np.ndarray
-    counts_r: np.ndarray
     total_pairs: int
     total_singles: int = 0
     dropped_by_radius: int = 0
@@ -86,29 +83,29 @@ class CoincidenceHistogram:
     def to_dict(self) -> dict:
         return {
             "setting": self.setting,
-            "n_r": self.binning.n_r,
             "n_theta": self.binning.n_theta,
             "r_max": self.binning.r_max,
             "centroid_s": list(self.binning.centroid_s or ()),
             "centroid_i": list(self.binning.centroid_i or ()),
             "counts_theta": self.counts_theta.tolist(),
-            "counts_r": self.counts_r.tolist(),
             **{k: int(getattr(self, k)) for k in self._COUNT_FIELDS},
         }
 
     @classmethod
     def from_dict(cls, d: dict) -> "CoincidenceHistogram":
+        n, counts = d["n_theta"], np.asarray(d["counts_theta"])
+        if counts.shape != (n, n):
+            raise FormatError(f"setting {d['setting']}: counts_theta has shape "
+                              f"{counts.shape}, not n_theta x n_theta = {(n, n)}")
         return cls(
             setting=d["setting"],
             binning=PolarBinning(
-                n_r=d["n_r"],
-                n_theta=d["n_theta"],
+                n_theta=n,
                 r_max=d["r_max"],
                 centroid_s=tuple(d["centroid_s"]) or None,
                 centroid_i=tuple(d["centroid_i"]) or None,
             ),
-            counts_theta=np.asarray(d["counts_theta"]),
-            counts_r=np.asarray(d["counts_r"]),
+            counts_theta=counts,
             **{k: d[k] for k in cls._COUNT_FIELDS},
         )
 
@@ -355,17 +352,14 @@ def pooled_centroids(event_arrays, geometry):
 
 
 def _polar_formula(dx, dy, binning: PolarBinning):
-    """The polar cell of offsets (dx, dy): theta-bin * n_r + r-bin, or
-    n_theta * n_r beyond r_max."""
-    r = np.hypot(dx, dy)
+    """The polar cell of offsets (dx, dy): the theta bin, or n_theta beyond
+    r_max."""
     theta = np.mod(np.arctan2(dy, dx), 2.0 * math.pi)
     tbin = np.minimum(
         (theta / (2.0 * math.pi) * binning.n_theta).astype(np.int64),
         binning.n_theta - 1,
     )
-    rbin = np.minimum((r / binning.r_max * binning.n_r).astype(np.int64), binning.n_r - 1)
-    return np.where(r <= binning.r_max, tbin * binning.n_r + rbin,
-                    binning.n_theta * binning.n_r)
+    return np.where(np.hypot(dx, dy) <= binning.r_max, tbin, binning.n_theta)
 
 
 def _polar_codes(x, y, centroid, binning: PolarBinning):
@@ -389,27 +383,25 @@ def _polar_codes(x, y, centroid, binning: PolarBinning):
 
 
 def bin_polar(result: MatchResult, binning: PolarBinning, setting: str = "") -> CoincidenceHistogram:
-    """Histogram matched pairs over polar coordinates about the ROI centroids.
+    """Histogram matched pairs over the azimuths about the ROI centroids.
 
     Pairs with either photon beyond r_max are dropped and counted.  One
-    ``bincount`` over the pairs of polar cells, beyond-r_max cell included,
-    gives both maps and both counts.
+    ``bincount`` over the (n_theta + 1)**2 pairs of polar cells, beyond-r_max
+    cell included, gives the angular map as its inner block and both pair counts.
     """
     if binning.centroid_s is None or binning.centroid_i is None:
         raise ConfigurationError(
             "binning centroids are unset; set them from pooled_centroids over the run")
-    nt, nr = binning.n_theta, binning.n_r
-    cells = nt * nr + 1
+    cells = binning.n_theta + 1
     code_s = _polar_codes(result.signal["x"], result.signal["y"], binning.centroid_s, binning)
     code_i = _polar_codes(result.idler["x"], result.idler["y"], binning.centroid_i, binning)
     joint = np.bincount(code_s * cells + code_i, minlength=cells * cells)
-    within = joint.reshape(cells, cells)[:-1, :-1].reshape(nt, nr, nt, nr)
+    within = joint.reshape(cells, cells)[:-1, :-1]
     total = int(within.sum())
     return CoincidenceHistogram(
         setting=setting,
         binning=binning,
-        counts_theta=within.sum(axis=(1, 3)),
-        counts_r=within.sum(axis=(0, 2)),
+        counts_theta=within,
         total_pairs=total,
         total_singles=result.n_singles,
         dropped_by_radius=len(code_s) - total,

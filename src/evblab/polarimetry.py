@@ -130,29 +130,30 @@ def expected_histogram(state: ModeSuperposition, setting: MeasurementSetting,
                        binning: PolarBinning, n_pairs: float) -> CoincidenceHistogram:
     """Bin-integrated expected coincidence counts for ``n_pairs`` source pairs.
 
-    Entries are the exact integrals of the coincidence density over the polar
-    bins, scaled by n_pairs; summing a complete projector set over all space
-    recovers n_pairs. Counts are floats (expectations, not samples).
+    Entries are the exact integrals of the coincidence density over the
+    angular bins within r_max, scaled by n_pairs; summing a complete projector
+    set over all space recovers n_pairs. Counts are floats (expectations, not
+    samples).
     """
     coeffs = term_projections(state, setting.ket)
     ell_s = np.array([t.ell_s for t in state.terms])
     ell_i = np.array([t.ell_i for t in state.terms])
-    Rs = radial_bin_overlaps(ell_s, state.waist_s, binning.r_edges())
-    Ri = radial_bin_overlaps(ell_i, state.waist_i, binning.r_edges())
+
+    def radial(ells, waist):
+        # [0, r_max] in Gauss-Legendre pieces at most a waist wide; the modes
+        # vanish beyond 12 waists
+        top = min(binning.r_max, 12.0 * waist)
+        edges = np.linspace(0.0, top, int(np.ceil(top / waist)) + 1)
+        return radial_bin_overlaps(ells, waist, edges).sum(axis=2, keepdims=True)
+
     Ts = azimuthal_bin_integrals(ell_s[:, None] - ell_s[None, :], binning.theta_edges())
     Ti = azimuthal_bin_integrals(ell_i[:, None] - ell_i[None, :], binning.theta_edges())
-
-    def total(f):
-        return f.sum(axis=2, keepdims=True)
-
-    counts_theta = n_pairs * bin_mass(coeffs, total(Rs), Ts, total(Ri), Ti)[0, :, 0, :]
-    counts_r = n_pairs * bin_mass(coeffs, Rs, total(Ts), Ri, total(Ti))[:, 0, :, 0]
-
+    counts_theta = n_pairs * bin_mass(coeffs, radial(ell_s, state.waist_s), Ts,
+                                      radial(ell_i, state.waist_i), Ti)[0, :, 0, :]
     return CoincidenceHistogram(
         setting=setting.label,
         binning=binning,
         counts_theta=counts_theta,
-        counts_r=counts_r,
         total_pairs=float(counts_theta.sum()),
     )
 

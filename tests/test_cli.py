@@ -1,7 +1,10 @@
 import json
 import math
+import re
+import shlex
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -137,7 +140,7 @@ def small_run(tmp_path_factory):
 def test_coincide_outputs(small_run, tmp_path, capsys):
     out = tmp_path / "coinc"
     rc = main(["coincide", "--in", str(small_run), "--out", str(out),
-               "--ntheta", "8", "--nr", "4"])
+               "--ntheta", "8"])
     assert rc == 0
     bundle = json.loads((out / "histograms.json").read_text())
     assert sorted(bundle["settings"]) == sorted(standard_set().labels)
@@ -465,6 +468,39 @@ def test_coincide_reads_a_manifest_with_beam_centres(small_run, tmp_path):
             == (tmp_path / "new_c" / "histograms.json").read_bytes())
 
 
+def test_tomo_reads_a_bundle_with_radial_maps(small_run, tmp_path):
+    # bundles used to carry a radial map and its bin count per setting, the
+    # --nr flag in their config and the centroids at top level: a bundle of
+    # that format loads and gives the same tomography outputs, byte for byte
+    coinc, old = tmp_path / "coinc", tmp_path / "old"
+    assert main(["coincide", "--in", str(small_run), "--out", str(coinc)]) == 0
+    bundle = json.loads((coinc / "histograms.json").read_text())
+    bundle["config"]["nr"] = 5
+    for key in ("centroid_s", "centroid_i"):
+        bundle[key] = bundle["settings"]["HH"][key]
+    for d in bundle["settings"].values():
+        d["n_r"], d["counts_r"] = 5, np.arange(25).reshape(5, 5).tolist()
+    old.mkdir()
+    (old / "histograms.json").write_text(json.dumps(bundle, indent=2, sort_keys=True))
+    for src, out in ((coinc, tmp_path / "new_t"), (old, tmp_path / "old_t")):
+        assert main(["tomo", "--in", str(src), "--out", str(out), "--mle"]) == 0
+    names = sorted(f.name for f in (tmp_path / "new_t").iterdir())
+    assert names == sorted(f.name for f in (tmp_path / "old_t").iterdir())
+    for name in names:
+        assert ((tmp_path / "old_t" / name).read_bytes()
+                == (tmp_path / "new_t" / name).read_bytes()), name
+
+
+# a complete bundle but for its maps, 3x3 under n_theta 16; readers before
+# the shape check took it, with its radial keys, and laid 9 bins along row 0
+SMALL_MAPS = json.dumps({"settings": {label: {
+    "setting": label, "n_theta": 16, "n_r": 5, "counts_r": [[0] * 5] * 5,
+    "r_max": 20.0, "centroid_s": [29.5, 29.5],
+    "centroid_i": [97.5, 29.5], "counts_theta": [[100] * 3] * 3, "total_pairs": 900,
+    "total_singles": 0, "dropped_by_radius": 0, "skipped_outside_roi": 0, "total_events": 1800,
+} for label in standard_set().labels}})
+
+
 @pytest.mark.parametrize("command,name,text", [
     ("coincide", "manifest.json", "{}"),
     ("coincide", "manifest.json", "[1]"),
@@ -472,12 +508,13 @@ def test_coincide_reads_a_manifest_with_beam_centres(small_run, tmp_path):
     ("tomo", "histograms.json", '{"settings": {"HH": {}}}'),
     ("tomo", "histograms.json", '{"settings": []}'),
     ("tomo", "histograms.json", "[1]"),
+    ("tomo", "histograms.json", SMALL_MAPS),
     ("report", "tomography.json", "{}"),
     ("report", "bell_maps.json", '{"maps": {}}'),
     ("report", "bell_maps.json", "[1]"),
 ], ids=["manifest-empty", "manifest-list", "histograms-empty", "histograms-setting-empty",
-        "histograms-settings-list", "histograms-list", "tomography-empty", "bell-maps-empty",
-        "bell-maps-list"])
+        "histograms-settings-list", "histograms-list", "histograms-map-shape",
+        "tomography-empty", "bell-maps-empty", "bell-maps-list"])
 def test_malformed_bundle_exits_with_one_error_line(tmp_path, capsys, command, name, text):
     # JSON of the wrong shape is a data error naming the file, not a traceback
     src, out = tmp_path / "in", tmp_path / "out"
@@ -500,13 +537,13 @@ def test_bundles_echo_their_parsed_flags(small_run, tmp_path):
     assert main(["simulate", "--qs", "0.5", "--qi", "1", "--ntheta", "8",
                  "--average-bins", "--out", str(sim)]) == 0
     assert main(["coincide", "--in", str(small_run), "--out", str(coinc), "--ntheta", "4",
-                 "--nr", "3", "--r-max", "25", "--window-ns", "5"]) == 0
+                 "--r-max", "25", "--window-ns", "5"]) == 0
     assert main(["tomo", "--in", str(coinc), "--out", str(tomo), "--mle",
                  "--min-counts", "100"]) == 0
     expected = {
         sim / "bell_maps.json": {"qs": 0.5, "qi": 1.0, "delta_s": math.pi, "delta_i": math.pi,
                                  "waist_px": 10.0, "ntheta": 8, "average_bins": True},
-        coinc / "histograms.json": {"window_ns": 5.0, "ntheta": 4, "nr": 3, "r_max": 25.0,
+        coinc / "histograms.json": {"window_ns": 5.0, "ntheta": 4, "r_max": 25.0,
                                     "subtract_accidentals": False},
         tomo / "tomography.json": {"mle": True, "min_counts": 100},
     }
@@ -514,3 +551,16 @@ def test_bundles_echo_their_parsed_flags(small_run, tmp_path):
         got = json.loads(path.read_text())["config"]
         assert got == config
         assert json.dumps(got, sort_keys=True) == json.dumps(config, sort_keys=True)
+
+
+def test_readme_command_lines_parse():
+    # every evblab line of the README's command-line block parses, its
+    # [optional] flags included, so a removed flag cannot stay in the docs
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    block = re.search(r"## Command line\n.*?```sh\n(.*?)```", readme, re.S).group(1)
+    lines = [ln for ln in block.splitlines() if ln.startswith("evblab ")]
+    assert len(lines) == 5
+    parser = cli.build_parser()
+    for line in lines:
+        args = parser.parse_args(shlex.split(re.sub(r"\[([^]]*)\]", r"\1", line))[1:])
+        assert args.command == line.split()[1]

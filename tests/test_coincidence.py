@@ -1,5 +1,6 @@
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 from evblab import coincidence
 from evblab.coincidence import (
     CoincidenceConfig,
+    CoincidenceHistogram,
     MatchResult,
     PixelPairHistogram,
     PolarBinning,
@@ -308,15 +310,14 @@ def test_split_rejects_times_at_2_62():
 # Polar binning
 
 def polar_reference(x, y, centroid, binning):
-    """The direct per-photon formula: (r, r-bin, theta-bin)."""
+    """The direct per-photon formula: (r, theta-bin)."""
     dx = x.astype(float) - centroid[0]
     dy = y.astype(float) - centroid[1]
     r = np.hypot(dx, dy)
     theta = np.mod(np.arctan2(dy, dx), 2.0 * math.pi)
     tbin = np.minimum((theta / (2.0 * math.pi) * binning.n_theta).astype(np.int64),
                       binning.n_theta - 1)
-    rbin = np.minimum((r / binning.r_max * binning.n_r).astype(np.int64), binning.n_r - 1)
-    return r, rbin, tbin
+    return r, tbin
 
 
 def pairs_at(xy_s, xy_i):
@@ -330,21 +331,18 @@ def pairs_at(xy_s, xy_i):
 
 def assert_bins_match_formula(result, binning):
     got = bin_polar(result, binning, "HV")
-    r_s, rb_s, tb_s = polar_reference(result.signal["x"], result.signal["y"],
-                                      binning.centroid_s, binning)
-    r_i, rb_i, tb_i = polar_reference(result.idler["x"], result.idler["y"],
-                                      binning.centroid_i, binning)
+    r_s, tb_s = polar_reference(result.signal["x"], result.signal["y"],
+                                binning.centroid_s, binning)
+    r_i, tb_i = polar_reference(result.idler["x"], result.idler["y"],
+                                binning.centroid_i, binning)
     keep = (r_s <= binning.r_max) & (r_i <= binning.r_max)
     assert np.array_equal(got.counts_theta.ravel(), np.bincount(
         tb_s[keep] * binning.n_theta + tb_i[keep], minlength=binning.n_theta**2))
-    assert np.array_equal(got.counts_r.ravel(), np.bincount(
-        rb_s[keep] * binning.n_r + rb_i[keep], minlength=binning.n_r**2))
     assert got.dropped_by_radius == int(len(keep) - keep.sum())
     for photons, centroid in ((result.signal, binning.centroid_s),
                               (result.idler, binning.centroid_i)):
-        r, rbin, tbin = polar_reference(photons["x"], photons["y"], centroid, binning)
-        cells = np.where(r <= binning.r_max, tbin * binning.n_r + rbin,
-                         binning.n_theta * binning.n_r)
+        r, tbin = polar_reference(photons["x"], photons["y"], centroid, binning)
+        cells = np.where(r <= binning.r_max, tbin, binning.n_theta)
         got_cells = coincidence._polar_codes(photons["x"], photons["y"], centroid, binning)
         assert np.array_equal(got_cells, cells)
 
@@ -357,8 +355,8 @@ def test_bin_polar_equals_formula_on_random_lattice_pairs(seed):
     xy_i = np.column_stack([rng.integers(78, 118, n), rng.integers(10, 50, n)])
     centroid_s = tuple(rng.uniform(25, 35, 2))
     centroid_i = tuple(rng.uniform(92, 102, 2))
-    for n_theta, n_r, r_max in ((16, 5, 20.0), (40, 3, 12.5), (7, 1, 100.0)):
-        binning = PolarBinning(n_theta=n_theta, n_r=n_r, r_max=r_max,
+    for n_theta, r_max in ((16, 20.0), (40, 12.5), (7, 100.0)):
+        binning = PolarBinning(n_theta=n_theta, r_max=r_max,
                                centroid_s=centroid_s, centroid_i=centroid_i)
         assert_bins_match_formula(pairs_at(xy_s, xy_i), binning)
 
@@ -370,7 +368,7 @@ def test_bin_polar_equals_formula_on_bin_edges_and_r_max():
     xy_s = [(30 + dx, 30 + dy) for dx, dy in offsets]
     xy_i = [(98 + dy, 30 + dx) for dx, dy in offsets]
     for n_theta in (8, 16):
-        binning = PolarBinning(n_theta=n_theta, n_r=5, r_max=5.0,
+        binning = PolarBinning(n_theta=n_theta, r_max=5.0,
                                centroid_s=(30.0, 30.0), centroid_i=(98.0, 30.0))
         assert_bins_match_formula(pairs_at(xy_s, xy_i), binning)
 
@@ -387,7 +385,7 @@ def test_bin_polar_far_apart_pairs_use_formula_per_photon(monkeypatch):
 
     monkeypatch.setattr(coincidence, "_polar_formula", spy)
     result = pairs_at([(0, 0), (60000, 60000)], [(1, 60000), (60000, 1)])
-    binning = PolarBinning(n_theta=16, n_r=5, r_max=1e5,
+    binning = PolarBinning(n_theta=16, r_max=1e5,
                            centroid_s=(30000.0, 30000.0), centroid_i=(30000.0, 30000.0))
     assert_bins_match_formula(result, binning)
     assert max(sizes) == 2
@@ -403,7 +401,7 @@ def test_bin_polar_example_bins():
     ev[0] = (1000 + 995, 1000 + 100, 50, 10, 0)
     # idler pixel at angle ~3.2 about (3001, 1000)
     ev[1] = (3001 - 998, 1000 - 58, 55, 10, 0)
-    binning = PolarBinning(n_theta=16, n_r=5, r_max=1500.0,
+    binning = PolarBinning(n_theta=16, r_max=1500.0,
                            centroid_s=(1000.0, 1000.0), centroid_i=(3001.0, 1000.0))
     res = find_coincidences(ev, geo, CoincidenceConfig())
     hist = bin_polar(res, binning, "HH")
@@ -416,7 +414,6 @@ def test_bin_polar_empty():
     binning = PolarBinning(centroid_s=(29.5, 29.5), centroid_i=(97.5, 29.5))
     hist = bin_polar(res, binning, "HH")
     assert hist.counts_theta.sum() == 0
-    assert hist.counts_r.sum() == 0
 
 
 def test_bin_polar_requires_centroids():
@@ -453,12 +450,9 @@ def test_conservation_identity_on_pipeline_run():
     )
     assert hist.total_events == len(events)
     assert hist.counts_theta.sum() == hist.total_pairs
-    assert hist.counts_r.sum() == hist.total_pairs
 
 
 def test_histogram_dict_round_trip():
-    from evblab.coincidence import CoincidenceHistogram
-
     man = default_manifest(QPlateParams(0.5), QPlateParams(0.5), n_pairs=3000, rng_seed=7)
     state = evb_state(man.qplate_s, man.qplate_i)
     events, _ = generate_setting_events(state, setting_from_label("HV"), man,
@@ -470,7 +464,6 @@ def test_histogram_dict_round_trip():
     back = CoincidenceHistogram.from_dict(json.loads(json.dumps(hist.to_dict())))
     assert back.setting == "HV"
     assert np.array_equal(back.counts_theta, hist.counts_theta)
-    assert np.array_equal(back.counts_r, hist.counts_r)
     assert back.binning == hist.binning
     counts = ("total_pairs", "total_singles", "dropped_by_radius",
               "skipped_outside_roi", "total_events")
@@ -478,6 +471,17 @@ def test_histogram_dict_round_trip():
         assert getattr(back, name) == getattr(hist, name), name
     # the run has pairs, singles and events, so the round trip is not of zeros
     assert hist.total_pairs > 0 and hist.total_singles > 0 and hist.total_events > 0
+
+
+def test_histogram_from_dict_rejects_a_map_of_the_wrong_shape():
+    binning = PolarBinning(n_theta=4, centroid_s=(29.5, 29.5), centroid_i=(97.5, 29.5))
+    d = CoincidenceHistogram(setting="AR", binning=binning, counts_theta=np.ones((4, 4)),
+                             total_pairs=16).to_dict()
+    for counts in (np.ones((3, 3)), np.ones((4, 5)), np.ones(16)):
+        d["counts_theta"] = counts.tolist()
+        with pytest.raises(FormatError, match=re.escape(
+                f"setting AR: counts_theta has shape {counts.shape}")):
+            CoincidenceHistogram.from_dict(d)
 
 
 # ---------------------------------------------------------------------------

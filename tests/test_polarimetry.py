@@ -160,8 +160,8 @@ def test_density_positive_and_basis_invariant():
 # ---------------------------------------------------------------------------
 # Expected histograms
 
-def binning(n_r=5, n_theta=16, r_max=5.0):
-    return PolarBinning(n_r=n_r, n_theta=n_theta, r_max=r_max,
+def binning(n_theta=16, r_max=5.0):
+    return PolarBinning(n_theta=n_theta, r_max=r_max,
                         centroid_s=(0.0, 0.0), centroid_i=(0.0, 0.0))
 
 
@@ -169,13 +169,12 @@ def test_expected_histogram_zero_pairs():
     state = singlet()
     h = expected_histogram(state, setting_from_label("HV"), binning(), 0)
     assert np.all(h.counts_theta == 0)
-    assert np.all(h.counts_r == 0)
 
 
 def test_expected_histogram_epr_hv_covers_half():
     # single bin covering effectively all space: expect n_pairs / 2
     state = singlet()
-    b = PolarBinning(n_r=1, n_theta=1, r_max=8.0,
+    b = PolarBinning(n_theta=1, r_max=8.0,
                      centroid_s=(0.0, 0.0), centroid_i=(0.0, 0.0))
     h = expected_histogram(state, setting_from_label("HV"), b, 1000)
     assert h.counts_theta[0, 0] == pytest.approx(500.0, abs=1e-3)
@@ -187,7 +186,7 @@ def test_expected_histogram_matches_quadrature_oracle():
     # product of independent 1D quadratures.
     state = evb_state(*plates(0.5, 0.5))
     hh = setting_from_label("HH")
-    b = binning(n_r=1, n_theta=8)
+    b = binning(n_theta=8)
     h = expected_histogram(state, hh, b, 1.0)
 
     from scipy.integrate import quad
@@ -227,14 +226,25 @@ def test_expected_histogram_complete_group_sums_to_npairs():
 
 
 def test_expected_histogram_full_mode_consistent():
-    # the angular and radial maps are two marginals of one bin mass
+    # total_pairs is the angular map's sum
     state = evb_state(*plates(0.5, 0.5))
-    b = PolarBinning(n_r=3, n_theta=6, r_max=5.0, centroid_s=(0.0, 0.0),
-                     centroid_i=(0.0, 0.0))
+    b = PolarBinning(n_theta=6, r_max=5.0, centroid_s=(0.0, 0.0), centroid_i=(0.0, 0.0))
     h = expected_histogram(state, setting_from_label("HV"), b, 77.0)
     assert h.total_pairs > 1.0
     assert h.counts_theta.sum() == pytest.approx(h.total_pairs, abs=1e-9)
-    assert h.counts_r.sum() == pytest.approx(h.total_pairs, abs=1e-9)
+
+
+@pytest.mark.parametrize("waist,r_max", [(10.0, 1000.0), (20.0, 1e5)])
+def test_expected_histogram_complete_group_sums_to_one_at_large_r_max(waist, r_max):
+    # the radial integral must resolve the modes however far r_max reaches
+    # beyond them
+    state = evb_state(QPlateParams(0.5, math.pi, waist), QPlateParams(1.0, math.pi, waist))
+    b = binning(r_max=r_max)
+    total = sum(
+        expected_histogram(state, setting_from_label(lab), b, 1.0).counts_theta.sum()
+        for lab in ("HH", "HV", "VH", "VV")
+    )
+    assert total == pytest.approx(1.0, abs=1e-9)
 
 
 # ---------------------------------------------------------------------------

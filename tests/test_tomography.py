@@ -539,7 +539,6 @@ def _hist_for(label, counts_theta, binning):
         setting=label,
         binning=binning,
         counts_theta=counts_theta,
-        counts_r=np.zeros((binning.n_r, binning.n_r)),
         total_pairs=int(counts_theta.sum()),
     )
 
@@ -607,8 +606,7 @@ def test_angular_tomography_flags_bins_it_cannot_normalize(min_counts, mle):
         angular_tomography(relabelled, other, min_counts=min_counts, mle=mle)
 
 
-@pytest.mark.parametrize("grid", [{"n_theta": 8}, {"n_r": 3}, {"r_max": 25.0}],
-                         ids=["n_theta", "n_r", "r_max"])
+@pytest.mark.parametrize("grid", [{"n_theta": 8}, {"r_max": 25.0}], ids=["n_theta", "r_max"])
 def test_angular_tomography_binning_mismatch_rejected(grid):
     rho = werner(0.9)
     hists = synthetic_histograms(lambda i, j: rho, 4, flux=4000)
