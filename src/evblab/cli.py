@@ -123,13 +123,13 @@ def cmd_generate(args) -> int:
 
 
 def _load(path: Path, parse):
-    """``parse`` of the JSON in ``path``; a missing file, or JSON of the wrong
+    """``parse`` of the JSON in ``path``; a missing file, text not JSON, or JSON of the wrong
     shape (a KeyError, TypeError, AttributeError or FormatError), is a FormatError."""
     if not path.exists():
         raise FormatError(f"missing input: no {path.name} in {path.parent}")
     try:
         return parse(json.loads(path.read_text()))
-    except (KeyError, TypeError, AttributeError, FormatError) as exc:
+    except (json.JSONDecodeError, KeyError, TypeError, AttributeError, FormatError) as exc:
         raise FormatError(f"{path}: malformed input ({type(exc).__name__}: {exc})") from None
 
 

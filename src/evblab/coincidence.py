@@ -93,7 +93,13 @@ class CoincidenceHistogram:
 
     @classmethod
     def from_dict(cls, d: dict) -> "CoincidenceHistogram":
-        n, counts = d["n_theta"], np.asarray(d["counts_theta"])
+        n = d["n_theta"]
+        try:
+            counts = np.asarray(d["counts_theta"])
+        except ValueError:  # rows of unequal length
+            counts = None
+        if counts is None or counts.dtype.kind not in "iuf":
+            raise FormatError(f"setting {d['setting']}: counts_theta is not a matrix of numbers")
         if counts.shape != (n, n):
             raise FormatError(f"setting {d['setting']}: counts_theta has shape "
                               f"{counts.shape}, not n_theta x n_theta = {(n, n)}")

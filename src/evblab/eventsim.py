@@ -14,8 +14,9 @@ density in two exact stages: both radii once, from the radial marginal of
 the density's diagonal part P (gamma laws in r^2), then uniform angles,
 redrawn until accepted at ratio (1 + X/P) / envelope.  This is exact because,
 once equal modes are merged, the interference terms X integrate to zero over
-the angles.  One sort of unique time-above-index keys orders records.  The
-tot field is written as 0, and no stage reads it.
+the angles.  Times are drawn sorted per branch, positions i.i.d., so one
+stable argsort of the joined times orders the records with no extra draw.
+The tot field is written as 0, and no stage reads it.
 """
 
 from __future__ import annotations
@@ -395,22 +396,15 @@ def intensity_sampler(state: ModeSuperposition) -> PairPositionSampler:
 # ---------------------------------------------------------------------------
 # Event assembly
 
-def _pixels(r, theta, centroid):
-    x = np.rint(centroid[0] + r * np.cos(theta)).astype(np.int64)
-    y = np.rint(centroid[1] + r * np.sin(theta)).astype(np.int64)
-    return x, y
-
-
 def _detect_photons(r, theta, centroid, t_true, noise: NoiseModel,
                     geometry: CameraGeometry, rng):
     """Efficiency thinning, jitter, pixel mapping for one arm; returns the
     (x, y, t) columns of its records."""
     n = len(r)
     keep = rng.random(n) < noise.efficiency
-    t = np.asarray(t_true, dtype=float)
-    if noise.jitter_sigma > 0:
-        t = t + rng.normal(0.0, noise.jitter_sigma, size=n)
-    x, y = _pixels(r, theta, centroid)
+    t = t_true + rng.normal(0.0, noise.jitter_sigma, size=n) if noise.jitter_sigma > 0 else t_true
+    x = np.rint(centroid[0] + r * np.cos(theta))
+    y = np.rint(centroid[1] + r * np.sin(theta))
     keep &= (x >= 0) & (x < geometry.width) & (y >= 0) & (y < geometry.height)
     return (x[keep].astype(np.uint16), y[keep].astype(np.uint16),
             np.maximum(np.rint(t[keep]), 0.0).astype(np.uint64))
@@ -422,18 +416,7 @@ def _dark_events(noise: NoiseModel, geometry: CameraGeometry, duration_s: float,
     n = int(rng.poisson(mean)) if mean > 0 else 0
     return (rng.integers(0, geometry.width, size=n).astype(np.uint16),
             rng.integers(0, geometry.height, size=n).astype(np.uint16),
-            rng.uniform(0.0, duration_s * 1e9, size=n).astype(np.uint64))
-
-
-def _time_order(t: np.ndarray) -> np.ndarray:
-    """The stable time order of uint64 times, from one sort of unique keys:
-    each time shifted above b = n.bit_length() bits that hold its index.
-    Times of 2**(64 - b) or more leave no room, and take a stable argsort."""
-    b = len(t).bit_length()
-    if len(t) and int(t.max()) >> (64 - b):
-        return np.argsort(t, kind="stable")
-    keys = np.sort(t << np.uint64(b) | np.arange(len(t), dtype=np.uint64))
-    return (keys & np.uint64((1 << b) - 1)).astype(np.intp)
+            np.sort(rng.uniform(0.0, duration_s * 1e9, size=n)).astype(np.uint64))
 
 
 def generate_setting_events(state, setting: MeasurementSetting,
@@ -463,7 +446,7 @@ def generate_setting_events(state, setting: MeasurementSetting,
     cols = []
     for sampler, n in chunks:
         r_s, th_s, r_i, th_i = sampler.sample(n, rng)
-        t_true = rng.uniform(0.0, duration_ns, size=n)
+        t_true = np.sort(rng.uniform(0.0, duration_ns, size=n))
         cols.append(_detect_photons(r_s, th_s, geometry.centroid_s, t_true,
                                     noise, geometry, rng))
         cols.append(_detect_photons(r_i, th_i, geometry.centroid_i, t_true,
@@ -472,7 +455,7 @@ def generate_setting_events(state, setting: MeasurementSetting,
 
     # join and time-order plain columns; the structured records are built once
     cols = [np.concatenate(c) for c in zip(*cols)]
-    order = _time_order(cols[2])
+    order = np.argsort(cols[2], kind="stable")
     events = np.zeros(len(order), dtype=EVENT_DTYPE)
     for name, col in zip(("x", "y", "t"), cols):
         events[name] = col[order]

@@ -7,6 +7,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from .errors import FormatError
+
 
 def write_csv_matrix(path, matrix: np.ndarray, header: str | None = None) -> None:
     """One row of comma-separated values per theta_s bin."""
@@ -21,13 +23,20 @@ def write_csv_matrix(path, matrix: np.ndarray, header: str | None = None) -> Non
 
 
 def read_csv_matrix(path) -> np.ndarray:
+    """The matrix of ``write_csv_matrix``; a non-number or a ragged row is a FormatError."""
     rows = []
     with open(path) as fh:
-        for line in fh:
+        for n, line in enumerate(fh, 1):
             line = line.strip()
             if not line or line.startswith("#"):
                 continue
-            rows.append([float(v) for v in line.split(",")])
+            try:
+                rows.append([float(v) for v in line.split(",")])
+            except ValueError as exc:
+                raise FormatError(f"{path}: malformed input (line {n}: {exc})") from None
+            if len(rows[-1]) != len(rows[0]):
+                raise FormatError(f"{path}: malformed input (line {n} holds {len(rows[-1])} "
+                                  f"values, the first row {len(rows[0])})")
     return np.asarray(rows)
 
 

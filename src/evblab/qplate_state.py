@@ -71,8 +71,8 @@ class QPlateParams:
     waist: float = 10.0
 
     def __post_init__(self):
-        if abs(2 * self.q - round(2 * self.q)) > 1e-12:
-            raise ValueError(f"charge q must be a half-integer, got {self.q}")
+        if not (math.isfinite(self.q) and abs(2 * self.q - round(2 * self.q)) <= 1e-12):
+            raise ValueError(f"charge q must be a finite half-integer, got {self.q}")
         if not (0.0 <= self.delta <= math.pi + 1e-12):
             raise ValueError(f"retardation must lie in [0, pi], got {self.delta}")
         if not (math.isfinite(self.waist) and self.waist > 0):

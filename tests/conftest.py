@@ -2,10 +2,18 @@
 
 pytest's ``pythonpath`` setting reaches only the test process; the tests
 that run ``python -m evblab.cli`` in a subprocess inherit this environment,
-so they import the same checkout without an install.
+so they import the same checkout without an install.  One hypothesis
+profile turns off the per-example deadline for every property test.
 """
 
 import os
+
+from hypothesis import settings
+
+# property tests build states and solve small fits whose wall time follows the
+# machine's load, not the example; each test keeps its own max_examples
+settings.register_profile("evblab", deadline=None)
+settings.load_profile("evblab")
 
 
 def pytest_configure(config):

@@ -15,6 +15,7 @@ from evblab.coincidence import CoincidenceConfig, find_coincidences
 from evblab.eventsim import RunManifest, read_events
 from evblab.gridio import read_csv_matrix
 from evblab.polarimetry import standard_set
+from evblab.qplate_state import BELL_LABELS
 
 
 def run_cli(*args):
@@ -424,11 +425,14 @@ def test_coincide_zero_event_files(tmp_path):
     (["coincide", "--in", "{run}", "--r-max", "inf"], "r_max must be positive and finite, got inf"),
     (["coincide", "--in", "{run}", "--window-ns", "1e16", "--subtract-accidentals"],
      "accidentals offset 1e+19 ns exceeds 2**62 ns"),
+    (["simulate", "--qs", "inf", "--qi", "0.5"], "charge q must be a finite half-integer, got inf"),
+    (["generate", "--qs", "0.5", "--qi", "nan"], "charge q must be a finite half-integer, got nan"),
 ], ids=["simulate-ntheta", "coincide-no-run", "tomo-no-bundle", "report-no-inputs",
         "coincide-ntheta", "coincide-r-max", "generate-seed", "generate-dark-rate-inf",
         "generate-dark-rate-nan", "generate-jitter-nan", "generate-jitter-inf",
         "generate-time-span", "generate-jitter-span", "report-band-reversed", "report-band-nan",
-        "coincide-window-inf", "coincide-r-max-inf", "coincide-accidentals-offset"])
+        "coincide-window-inf", "coincide-r-max-inf", "coincide-accidentals-offset",
+        "simulate-qs-inf", "generate-qi-nan"])
 def test_bad_input_leaves_no_output_directory(small_run, tmp_path, monkeypatch, capsys,
                                               argv, message):
     # flags and inputs are checked before any event file is read or --out is made
@@ -491,14 +495,19 @@ def test_tomo_reads_a_bundle_with_radial_maps(small_run, tmp_path):
                 == (tmp_path / "new_t" / name).read_bytes()), name
 
 
-# a complete bundle but for its maps, 3x3 under n_theta 16; readers before
-# the shape check took it, with its radial keys, and laid 9 bins along row 0
-SMALL_MAPS = json.dumps({"settings": {label: {
-    "setting": label, "n_theta": 16, "n_r": 5, "counts_r": [[0] * 5] * 5,
-    "r_max": 20.0, "centroid_s": [29.5, 29.5],
-    "centroid_i": [97.5, 29.5], "counts_theta": [[100] * 3] * 3, "total_pairs": 900,
-    "total_singles": 0, "dropped_by_radius": 0, "skipped_outside_roi": 0, "total_events": 1800,
-} for label in standard_set().labels}})
+def bundle_with_maps(counts) -> str:
+    """A complete bundle, with the radial keys of older bundles, but for its
+    maps: each setting's ``counts_theta`` is ``counts`` under n_theta 16."""
+    return json.dumps({"settings": {label: {
+        "setting": label, "n_theta": 16, "n_r": 5, "counts_r": [[0] * 5] * 5,
+        "r_max": 20.0, "centroid_s": [29.5, 29.5],
+        "centroid_i": [97.5, 29.5], "counts_theta": counts, "total_pairs": 900,
+        "total_singles": 0, "dropped_by_radius": 0, "skipped_outside_roi": 0, "total_events": 1800,
+    } for label in standard_set().labels}})
+
+
+# readers before the shape check took 3x3 maps and laid 9 bins along row 0
+SMALL_MAPS = bundle_with_maps([[100] * 3] * 3)
 
 
 @pytest.mark.parametrize("command,name,text", [
@@ -512,9 +521,13 @@ SMALL_MAPS = json.dumps({"settings": {label: {
     ("report", "tomography.json", "{}"),
     ("report", "bell_maps.json", '{"maps": {}}'),
     ("report", "bell_maps.json", "[1]"),
+    ("coincide", "manifest.json", '{\n  "geometry": {\n    "height": 64,\n    "roi_idler": ['),
+    ("tomo", "histograms.json", SMALL_MAPS[:200]),
+    ("tomo", "histograms.json", bundle_with_maps([[100, 100], [100]])),
 ], ids=["manifest-empty", "manifest-list", "histograms-empty", "histograms-setting-empty",
         "histograms-settings-list", "histograms-list", "histograms-map-shape",
-        "tomography-empty", "bell-maps-empty", "bell-maps-list"])
+        "tomography-empty", "bell-maps-empty", "bell-maps-list", "manifest-truncated",
+        "histograms-truncated", "histograms-ragged"])
 def test_malformed_bundle_exits_with_one_error_line(tmp_path, capsys, command, name, text):
     # JSON of the wrong shape is a data error naming the file, not a traceback
     src, out = tmp_path / "in", tmp_path / "out"
@@ -527,6 +540,24 @@ def test_malformed_bundle_exits_with_one_error_line(tmp_path, capsys, command, n
     assert main([command, "--in", str(src), *extra, "--out", str(out)]) == 1
     err = capsys.readouterr().err
     assert err.startswith(f"error: {src / name}: malformed input (") and err.count("\n") == 1
+    assert not out.exists()
+
+
+def test_report_names_a_ragged_map_file(tmp_path, capsys):
+    # a bell_*.csv with a short row is a data error naming that file
+    sim, tomo, out = tmp_path / "sim", tmp_path / "tomo", tmp_path / "out"
+    assert main(["simulate", "--qs", "0.5", "--qi", "1", "--ntheta", "4", "--out", str(sim)]) == 0
+    tomo.mkdir()
+    for name in BELL_LABELS:
+        (tomo / f"bell_{name}.csv").write_text((sim / f"bell_{name}.csv").read_text())
+    (tomo / "tomography.json").write_text(
+        json.dumps({"average_concurrence": 0.5, "concurrence_se": 0.1}))
+    bad = tomo / "bell_phi_plus.csv"
+    bad.write_text("1,0,0,1\n0,1\n")
+    capsys.readouterr()
+    assert main(["report", "--in", str(tomo), "--analytic", str(sim), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err == f"error: {bad}: malformed input (line 2 holds 2 values, the first row 4)\n"
     assert not out.exists()
 
 

@@ -199,7 +199,7 @@ dense_times = st.lists(st.integers(0, 60), max_size=40).map(sorted)
 
 
 @given(ts=dense_times, ti=dense_times, window=st.sampled_from([0.5, 1, 2.5, 10]))
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=300)
 def test_match_indices_equal_references_on_dense_streams(ts, ti, window):
     # dense streams with repeated times: most signals compete for idlers
     ts, ti = np.array(ts, dtype=np.int64), np.array(ti, dtype=np.int64)
@@ -261,7 +261,7 @@ clustered_times = st.lists(
 
 
 @given(ts=clustered_times, ti=clustered_times, window=st.sampled_from([1, 2.5, 4, 10]))
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=300)
 def test_rounds_equal_greedy_reference_on_clustered_streams(ts, ti, window):
     # a few dense bursts far apart: clusters of many signals, all matched in rounds
     assert_rounds_equal_reference(np.array(ts, dtype=np.int64), np.array(ti, dtype=np.int64),

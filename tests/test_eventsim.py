@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
-from scipy.stats import chisquare
+from scipy.stats import chi2_contingency, chisquare, kstest
 
 import evblab.eventsim as es
 from evblab.coincidence import PolarBinning
@@ -375,7 +375,7 @@ points = st.lists(st.tuples(radius, st.floats(0.0, 2 * math.pi), radius,
            st.tuples(st.integers(0, 7), st.integers(0, 7)), max_size=4),
        waists=st.tuples(st.sampled_from([1.0, 10.0, 20.0]), st.sampled_from([1.0, 7.5, 20.0])),
        pts=points)
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=300)
 def test_density_ratio_matches_full_target(terms, copies, waists, pts):
     # copies give term b the modes and group of term a: equal-mode pairs
     terms = [list(t) for t in terms]
@@ -405,25 +405,6 @@ def test_singleton_groups_accept_everything_without_modes(monkeypatch):
     r = np.linspace(0.0, 30.0, 7)
     np.testing.assert_array_equal(sampler._angle_ratio(sampler._amplitudes(r, r), r, r),
                                   np.ones(7))
-
-
-@pytest.mark.parametrize("n", [0, 1, 2, 3, 4, 7, 8, 255, 256, 1000])
-def test_time_order_is_stable_argsort(n):
-    rng = np.random.default_rng(n)
-    top = np.uint64(2**63 >> max(n.bit_length() - 1, 0))  # 2**(64 - b), b index bits
-
-    def small(hi):
-        return rng.integers(0, hi, n).astype(np.uint64)
-
-    streams = [
-        small(5),                                 # many equal times
-        small(1 << 40),
-        np.full(n, top - np.uint64(1)),           # the largest time the keys hold
-        np.where(rng.random(n) < 0.5, top + small(3), small(3)),  # keys would wrap
-        np.where(rng.random(n) < 0.5, np.uint64(2**64 - 1) - small(2), small(4)),
-    ]
-    for t in streams:
-        np.testing.assert_array_equal(es._time_order(t), np.argsort(t, kind="stable"))
 
 
 def test_sampler_rejects_empty_projection():
@@ -465,6 +446,29 @@ def test_generated_files_time_sorted(tmp_path):
         ev = read_events(tmp_path / fname)
         t = ev["t"].astype(np.int64)
         assert np.all(np.diff(t) >= 0)
+
+
+def test_record_times_are_uniform_and_carry_no_position():
+    # times are drawn sorted and positions in draw order: on a setting with
+    # both branches, jitter and dark counts the record times are still
+    # uniform over the run, and the first half of the records in time lands
+    # on the same pixel blocks (8 x 8) as the second half.  Only the signal
+    # half of the sensor is tested, where no two records share a pair.
+    man = small_manifest(n_pairs=40_000, seed=61, efficiency=0.9, jitter_sigma=2.0,
+                         dark_rate=0.5, werner_p=0.7)
+    geo = man.geometry
+    state = evb_state(man.qplate_s, man.qplate_i)
+    events, stats = generate_setting_events(state, setting_from_label("HH"), man,
+                                            np.random.default_rng(61))
+    assert stats["passed_entangled"] > 5000 and stats["passed_white"] > 1000
+    events = events[events["x"] < geo.width // 2]
+    assert kstest(events["t"].astype(float), "uniform",
+                  args=(0.0, man.duration * 1e9)).pvalue > 0.01
+    blocks = (events["y"] // 8).astype(np.int64) * (geo.width // 8) + events["x"] // 8
+    half = len(events) // 2
+    table = np.stack([np.bincount(b, minlength=geo.width * geo.height // 64)
+                      for b in (blocks[:half], blocks[half:])])
+    assert chi2_contingency(table[:, table.sum(axis=0) >= 10]).pvalue > 0.01
 
 
 def test_event_counts_track_pass_probability():

@@ -83,7 +83,7 @@ def test_mode_amplitude_phases():
     r=st.floats(min_value=0.0, max_value=30.0),
     theta=st.floats(min_value=0.0, max_value=2 * math.pi),
 )
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=200)
 def test_conjugate_symmetry(ell, r, theta):
     # F_l = F_-l, so the modes F_l(r) exp(+-i l theta) are complex conjugates
     w = 1.7

@@ -145,7 +145,7 @@ def test_half_conversion_amplitudes():
        delta_i=st.sampled_from([0.0, math.pi / 4, math.pi / 2, 3 * math.pi / 4, math.pi]),
        qs=st.sampled_from([-1.0, -0.5, 0.0, 0.5, 1.0]),
        qi=st.sampled_from([-1.0, -0.5, 0.0, 0.5, 1.0]))
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=60)
 def test_plate_preserves_norm(delta_s, delta_i, qs, qi):
     out = evb_state(QPlateParams(qs, delta_s), QPlateParams(qi, delta_i))
     assert abs(out.norm_squared() - 1.0) < 1e-12
@@ -154,7 +154,7 @@ def test_plate_preserves_norm(delta_s, delta_i, qs, qi):
 @given(st.integers(-8, 8), st.integers(-8, 8), st.floats(0.0, math.pi),
        st.floats(0.0, math.pi), st.floats(0.5, 20.0), st.floats(0.5, 20.0),
        st.integers(0, 2**32 - 1))
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=60)
 def test_evb_state_matches_jones_product(two_qs, two_qi, delta_s, delta_i, w_s, w_i, seed):
     # the state's local spinor is the product of the two arms' Jones
     # matrices applied to the singlet, at every point

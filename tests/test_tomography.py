@@ -183,7 +183,7 @@ def test_project_trace_preserved_and_psd():
 
 
 @given(st.integers(0, 2**32 - 1), st.integers(1, 8))
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=40)
 def test_project_stack_matches_per_matrix(seed, n):
     rng = np.random.default_rng(seed)
     h = rng.normal(size=(n, 4, 4)) + 1j * rng.normal(size=(n, 4, 4))
@@ -215,7 +215,7 @@ def waterfill_reference(vals):
 
 
 @given(st.integers(0, 2**32 - 1), st.floats(-3.0, 3.0))
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=60)
 def test_project_matches_loop_waterfilling_at_any_trace(seed, trace):
     rng = np.random.default_rng(seed)
     h = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
@@ -338,7 +338,7 @@ def loglike_gradient(rho, counts):
 
 
 @given(st.integers(0, 2**32 - 1), st.integers(1, 4), st.integers(1, 6))
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=40)
 def test_forward_probabilities_match_projector_kets(seed, rank, n):
     # Re v_k^dagger m v_k from the kets, for a stack, one matrix and a
     # real-valued matrix that need not be symmetric
@@ -356,7 +356,7 @@ def test_forward_probabilities_match_projector_kets(seed, rank, n):
 
 
 @given(st.integers(0, 2**32 - 1), st.integers(1, 4), st.integers(0, 8))
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=40)
 def test_gradient_matches_projector_sum(seed, rank, unseen):
     # sum_k (f_k / p_k) v_k v_k^dagger - S / sum_k p_k from the kets, with
     # `unseen` settings that observed no counts
@@ -428,7 +428,7 @@ def test_mle_satisfies_kkt_conditions():
 
 @given(st.integers(0, 2**32 - 1), st.sampled_from([1, 2, 4]),
        st.sampled_from([300.0, 3000.0, 30000.0]))
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=40)
 def test_mle_likelihood_at_least_truth_and_start(seed, rank, flux):
     # On the slice tr(S rho) = 1 the objective is concave, so the ascent
     # ends at its maximum to within the stopping tolerance, and no state
@@ -466,7 +466,7 @@ def test_concurrence_rejects_unphysical():
 
 
 @given(st.integers(0, 2**32 - 1))
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=40)
 def test_concurrence_continuity_under_perturbation(seed):
     rng = np.random.default_rng(seed)
     rho = random_state(rng)
@@ -498,7 +498,7 @@ def test_bell_decomposition_examples():
 
 @given(st.integers(-4, 4).filter(bool), st.integers(-4, 4).filter(bool),
        st.floats(0.0, math.pi), st.floats(0.0, math.pi), st.integers(0, 2**32 - 1))
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=60)
 def test_bell_decomposition_of_local_state_matches_bell_probabilities(
         two_qs, two_qi, delta_s, delta_i, seed):
     # the pointwise Bell densities, normalized, are the Bell overlaps of the
