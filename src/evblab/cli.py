@@ -123,13 +123,14 @@ def cmd_generate(args) -> int:
 
 
 def _load(path: Path, parse):
-    """``parse`` of the JSON in ``path``; a missing file, text not JSON, or JSON of the wrong
-    shape (a KeyError, TypeError, AttributeError or FormatError), is a FormatError."""
+    """``parse`` of the JSON in ``path``; a missing file, text not UTF-8 or not JSON, or JSON
+    of the wrong shape or with a rejected value (a KeyError, TypeError, AttributeError or
+    ValueError, FormatError included), is a FormatError naming the file."""
     if not path.exists():
         raise FormatError(f"missing input: no {path.name} in {path.parent}")
     try:
         return parse(json.loads(path.read_text()))
-    except (json.JSONDecodeError, KeyError, TypeError, AttributeError, FormatError) as exc:
+    except (ValueError, KeyError, TypeError, AttributeError) as exc:
         raise FormatError(f"{path}: malformed input ({type(exc).__name__}: {exc})") from None
 
 
@@ -166,7 +167,7 @@ def cmd_coincide(args) -> int:
         streams = split_rois(read_events(paths[label]), geometry)
         result = find_coincidences(streams, geometry, config)
         hist, n_contended = bin_polar(result, binning, label), result.n_contended
-        del result  # the matched records go before the accidentals pass
+        del result  # the match indices go before the accidentals pass
         acc = (accidental_estimate(streams, geometry, config, offset=offset)
                if args.subtract_accidentals else 0)
         return hist, acc, n_contended

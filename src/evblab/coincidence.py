@@ -6,8 +6,9 @@ Event streams are numpy structured arrays in the on-disk record layout (see
 single-match policy pairs each signal greedily with its nearest-in-time
 unused idler (ties to the earlier idler), processing signals in time order;
 signals whose ranges overlap another's are matched in rounds, one signal of
-each such cluster per round.  Polar binning evaluates each pixel's polar cell
-once and gathers by pixel.
+each such cluster per round.  A match is held as indices, not record copies:
+the rows of its two records in the stream and the ROI-local pixels they hit.
+Polar binning evaluates each ROI pixel's polar cell once and gathers by pixel.
 """
 
 from __future__ import annotations
@@ -15,10 +16,14 @@ from __future__ import annotations
 import math
 from collections import namedtuple
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .errors import ConfigurationError, FormatError
+
+if TYPE_CHECKING:  # eventsim imports polarimetry, which imports this module
+    from .eventsim import Rect
 
 
 @dataclass(frozen=True)
@@ -118,14 +123,25 @@ class CoincidenceHistogram:
 
 @dataclass
 class MatchResult:
-    """Matched pairs (parallel signal/idler record arrays) plus bookkeeping.
+    """Matched pairs as indices, plus bookkeeping.
+
+    Pair k matched the records ``rows_s[k]`` and ``rows_i[k]`` of the input
+    stream, whose photons hit pixel ``pix_s[k]`` of ``roi_s`` and pixel
+    ``pix_i[k]`` of ``roi_i`` (ROI-local, see ``Rect.pixel_index``).  Each
+    index array has the smallest unsigned type that holds its largest
+    value: below 2**32 records and with ROIs of at most 65536 pixels, that
+    is uint32 rows and uint16 pixels, 12 bytes per pair.
 
     n_contended counts the signals that greedy matching resolved in rounds,
     those whose window overlaps another signal's (0 for multi-matching).
     """
 
-    signal: np.ndarray
-    idler: np.ndarray
+    rows_s: np.ndarray
+    rows_i: np.ndarray
+    pix_s: np.ndarray
+    pix_i: np.ndarray
+    roi_s: Rect
+    roi_i: Rect
     n_signal_events: int
     n_idler_events: int
     skipped_outside_roi: int
@@ -134,7 +150,7 @@ class MatchResult:
 
     @property
     def n_pairs(self) -> int:
-        return len(self.signal)
+        return len(self.rows_s)
 
     @property
     def n_singles(self) -> int:
@@ -144,9 +160,9 @@ class MatchResult:
 # ---------------------------------------------------------------------------
 # Matching
 
-# One setting's time-sorted records split by ROI: the int64 times and the
-# record rows of the signal-ROI and of the idler-ROI events.
-RoiStreams = namedtuple("RoiStreams", "events t_s t_i rows_s rows_i")
+# One setting's time-sorted records split by ROI: the int64 times, the record
+# rows and the ROI pixel indices of the signal-ROI and of the idler-ROI events.
+RoiStreams = namedtuple("RoiStreams", "events t_s t_i rows_s rows_i pix_s pix_i")
 
 # Times at or beyond this many ns are rejected: below it, a time plus a window
 # or an accidentals offset (each at most 2**62 ns) stays inside int64.
@@ -156,17 +172,21 @@ TIME_LIMIT = 2**62
 def split_rois(events: np.ndarray, geometry) -> RoiStreams:
     """Split a stream by ROI, rejecting one that is not sorted by time or that
     reaches 2**62 ns; the matching functions take the split in place of the
-    records."""
+    records.  Rows and pixel indices are narrowed as in :class:`MatchResult`."""
     t = events["t"]
     if np.any(t[1:] < t[:-1]):
         raise FormatError("event stream is not sorted by time")
     if len(t) and t[-1] >= TIME_LIMIT:
         raise FormatError(f"event time {t[-1]} ns reaches 2**62 ns")
     x, y = events["x"].copy(), events["y"].copy()  # contiguous: 3x faster masks
-    rows_s = np.flatnonzero(geometry.roi_signal.contains(x, y))
-    rows_i = np.flatnonzero(geometry.roi_idler.contains(x, y))
-    return RoiStreams(events, t[rows_s].view(np.int64), t[rows_i].view(np.int64),
-                      rows_s, rows_i)
+    split = []
+    for roi in (geometry.roi_signal, geometry.roi_idler):
+        rows = np.flatnonzero(roi.contains(x, y))
+        pix = roi.pixel_index(x[rows], y[rows])
+        split.append((t[rows].view(np.int64), rows.astype(np.min_scalar_type(len(t))),
+                      pix.astype(np.min_scalar_type(roi.width * roi.height - 1))))
+    (t_s, rows_s, pix_s), (t_i, rows_i, pix_i) = split
+    return RoiStreams(events, t_s, t_i, rows_s, rows_i, pix_s, pix_i)
 
 
 def _window_bounds(ts: np.ndarray, ti: np.ndarray, window: float):
@@ -284,14 +304,16 @@ def find_coincidences(events, geometry, config: CoincidenceConfig) -> MatchResul
     """Pair up signal-ROI and idler-ROI detections within the time window.
 
     ``events`` is a time-sorted record array (rejected otherwise) or its
-    :func:`split_rois`.  Events outside both ROIs are counted and skipped.
+    :func:`split_rois` under ``geometry``.  Events outside both ROIs are
+    counted and skipped.
     """
     s = events if isinstance(events, RoiStreams) else split_rois(events, geometry)
     match = _match_multi if config.allow_multi_match else _match_greedy
     sidx, iidx, n_contended = match(s.t_s, s.t_i, config.window)
     return MatchResult(
-        signal=s.events[s.rows_s[sidx]],
-        idler=s.events[s.rows_i[iidx]],
+        rows_s=s.rows_s[sidx], rows_i=s.rows_i[iidx],
+        pix_s=s.pix_s[sidx], pix_i=s.pix_i[iidx],
+        roi_s=geometry.roi_signal, roi_i=geometry.roi_idler,
         n_signal_events=len(s.rows_s),
         n_idler_events=len(s.rows_i),
         skipped_outside_roi=len(s.events) - len(s.rows_s) - len(s.rows_i),
@@ -368,24 +390,20 @@ def _polar_formula(dx, dy, binning: PolarBinning):
     return np.where(np.hypot(dx, dy) <= binning.r_max, tbin, binning.n_theta)
 
 
-def _polar_codes(x, y, centroid, binning: PolarBinning):
-    """The polar cell (see :func:`_polar_formula`) of each photon at pixel
-    (x, y) about the centroid.
+def _polar_codes(pix, roi, centroid, binning: PolarBinning):
+    """The polar cell (see :func:`_polar_formula`) about the centroid of each
+    photon at pixel index ``pix`` of ``roi``.
 
     Photons sit on the pixel lattice, so the formula runs once per pixel of
-    their bounding box, and each photon gathers its pixel's cell; where the
-    box holds more pixels than there are photons, it runs on the photons.
+    the ROI, and each photon gathers its pixel's cell; where the ROI holds
+    more pixels than there are photons, it runs on the photons' pixels.
     """
-    if len(x):
-        x0, y0 = int(x.min()), int(y.min())
-        width = int(x.max()) - x0 + 1
-        n_pixels = width * (int(y.max()) - y0 + 1)
-        if n_pixels <= len(x):
-            gy, gx = np.divmod(np.arange(n_pixels), width)
-            table = _polar_formula((gx + x0).astype(float) - centroid[0],
-                                   (gy + y0).astype(float) - centroid[1], binning)
-            return table[(y.astype(np.intp) - y0) * width + (x.astype(np.intp) - x0)]
-    return _polar_formula(x.astype(float) - centroid[0], y.astype(float) - centroid[1], binning)
+    table = roi.width * roi.height <= len(pix)
+    cells = np.arange(roi.width * roi.height) if table else pix.astype(np.intp)
+    gy, gx = np.divmod(cells, roi.width)
+    codes = _polar_formula((gx + roi.x0).astype(float) - centroid[0],
+                           (gy + roi.y0).astype(float) - centroid[1], binning)
+    return codes[pix] if table else codes
 
 
 def bin_polar(result: MatchResult, binning: PolarBinning, setting: str = "") -> CoincidenceHistogram:
@@ -399,8 +417,8 @@ def bin_polar(result: MatchResult, binning: PolarBinning, setting: str = "") -> 
         raise ConfigurationError(
             "binning centroids are unset; set them from pooled_centroids over the run")
     cells = binning.n_theta + 1
-    code_s = _polar_codes(result.signal["x"], result.signal["y"], binning.centroid_s, binning)
-    code_i = _polar_codes(result.idler["x"], result.idler["y"], binning.centroid_i, binning)
+    code_s = _polar_codes(result.pix_s, result.roi_s, binning.centroid_s, binning)
+    code_i = _polar_codes(result.pix_i, result.roi_i, binning.centroid_i, binning)
     joint = np.bincount(code_s * cells + code_i, minlength=cells * cells)
     within = joint.reshape(cells, cells)[:-1, :-1]
     total = int(within.sum())
@@ -421,7 +439,8 @@ class PixelPairHistogram:
 
     Addresses every (signal pixel, idler pixel) combination of the two ROIs
     (40x40 ROIs give 1600 x 1600 = 2.56e6 cells) with 64-bit counters, so
-    arbitrarily heavy runs cannot overflow.
+    arbitrarily heavy runs cannot overflow.  Row and column are the ROI pixel
+    indices (``Rect.pixel_index``) that a :class:`MatchResult` holds.
     """
 
     def __init__(self, geometry):
@@ -430,26 +449,20 @@ class PixelPairHistogram:
         self._n_i = geometry.roi_idler.width * geometry.roi_idler.height
         self.counts = np.zeros((self._n_s, self._n_i), dtype=np.int64)
 
-    def _flat(self, roi, x, y):
-        fx = x.astype(np.int64) - roi.x0
-        fy = y.astype(np.int64) - roi.y0
-        if np.any((fx < 0) | (fx >= roi.width) | (fy < 0) | (fy >= roi.height)):
-            raise ValueError("pixel outside ROI")
-        return fy * roi.width + fx
-
     def accumulate(self, result: MatchResult):
-        s = self._flat(self.geometry.roi_signal, result.signal["x"], result.signal["y"])
-        i = self._flat(self.geometry.roi_idler, result.idler["x"], result.idler["y"])
-        flat = s * self._n_i + i
+        rois = (self.geometry.roi_signal, self.geometry.roi_idler)
+        if (result.roi_s, result.roi_i) != rois:
+            raise ValueError(f"match result ROIs {(result.roi_s, result.roi_i)} "
+                             f"are not the histogram's {rois}")
+        flat = result.pix_s.astype(np.intp) * self._n_i + result.pix_i
         add = np.bincount(flat, minlength=self._n_s * self._n_i)
         self.counts += add.reshape(self._n_s, self._n_i)
 
     def count(self, pixel_s: tuple[int, int], pixel_i: tuple[int, int]) -> int:
-        s = self._flat(self.geometry.roi_signal,
-                       np.array([pixel_s[0]]), np.array([pixel_s[1]]))[0]
-        i = self._flat(self.geometry.roi_idler,
-                       np.array([pixel_i[0]]), np.array([pixel_i[1]]))[0]
-        return int(self.counts[s, i])
+        roi_s, roi_i = self.geometry.roi_signal, self.geometry.roi_idler
+        if not (roi_s.contains(*pixel_s) and roi_i.contains(*pixel_i)):
+            raise ValueError("pixel outside ROI")
+        return int(self.counts[roi_s.pixel_index(*pixel_s), roi_i.pixel_index(*pixel_i)])
 
     @property
     def total(self) -> int:

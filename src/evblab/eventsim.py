@@ -48,6 +48,7 @@ EVENT_DTYPE = np.dtype(
 )
 
 MAX_ATTEMPT_FACTOR = 10_000  # rejection budget per requested sample
+SENSOR_LIMIT = 2**16  # pixels a side that a uint16 x or y can address
 
 
 # ---------------------------------------------------------------------------
@@ -69,6 +70,12 @@ class Rect:
         return ((x >= self.x0) & (x < self.x0 + self.width)
                 & (y >= self.y0) & (y < self.y0 + self.height))
 
+    def pixel_index(self, x, y) -> np.ndarray:
+        """The ROI-local index (y - y0) * width + (x - x0) of pixels (x, y)
+        inside the rect, in intp (a narrower type wraps above 65536 pixels)."""
+        x, y = np.asarray(x, dtype=np.intp), np.asarray(y, dtype=np.intp)
+        return (y - self.y0) * self.width + (x - self.x0)
+
     def center(self) -> tuple[float, float]:
         return (self.x0 + (self.width - 1) / 2.0, self.y0 + (self.height - 1) / 2.0)
 
@@ -80,7 +87,8 @@ class Rect:
 @dataclass(frozen=True)
 class CameraGeometry:
     """Sensor size, the two beam ROIs and the beam waist.  The generator
-    centres each beam on its ROI."""
+    centres each beam on its ROI.  Records hold x and y as uint16, so a side
+    is at most 65536 pixels, and an ROI pixel index stays below 2**32."""
 
     width: int = 128
     height: int = 64
@@ -89,6 +97,9 @@ class CameraGeometry:
     waist_px: float = 10.0
 
     def __post_init__(self):
+        if max(self.width, self.height) > SENSOR_LIMIT:
+            raise ValueError(f"sensor sides must be at most {SENSOR_LIMIT} pixels, "
+                             f"got {self.width} x {self.height}")
         for roi in (self.roi_signal, self.roi_idler):
             if (roi.x0 < 0 or roi.y0 < 0 or roi.x0 + roi.width > self.width
                     or roi.y0 + roi.height > self.height):

@@ -191,7 +191,7 @@ def test_criterion_3_coincidence_oracle():
                 res = find_coincidences(
                     ev, geo, CoincidenceConfig(window=window, allow_multi_match=multi)
                 )
-                got = sorted(zip(res.signal["t"].tolist(), res.idler["t"].tolist()))
+                got = sorted(zip(ev["t"][res.rows_s].tolist(), ev["t"][res.rows_i].tolist()))
                 want = sorted(
                     (int(ts[a]), int(ti[b]))
                     for a, b in _brute_force(ts, ti, window, multi)
@@ -372,20 +372,20 @@ def test_criterion_8_pixel_pair_capacity():
         hot_added = 0
         from evblab.coincidence import MatchResult
 
+        roi_s, roi_i = geo.roi_signal, geo.roi_idler
         while done < total_pairs:
             n = min(1_000_000, total_pairs - done)
-            sig = np.zeros(n, dtype=EVENT_DTYPE)
-            idl = np.zeros(n, dtype=EVENT_DTYPE)
-            sig["x"] = rng.integers(10, 50, n)
-            sig["y"] = rng.integers(10, 50, n)
-            idl["x"] = rng.integers(78, 118, n)
-            idl["y"] = rng.integers(10, 50, n)
+            sx, sy = rng.integers(10, 50, n), rng.integers(10, 50, n)
+            ix, iy = rng.integers(78, 118, n), rng.integers(10, 50, n)
             # concentrate a slice on one hot cell to show headroom
             hot = slice(0, n // 10)
-            sig["x"][hot], sig["y"][hot] = hot_s
-            idl["x"][hot], idl["y"][hot] = hot_i
+            sx[hot], sy[hot] = hot_s
+            ix[hot], iy[hot] = hot_i
             hot_added += n // 10
-            hist.accumulate(MatchResult(sig, idl, n, n, 0, 2 * n))
+            rows = np.arange(0, 2 * n, 2, dtype=np.uint32)
+            hist.accumulate(MatchResult(
+                rows, rows + 1, roi_s.pixel_index(sx, sy).astype(np.uint16),
+                roi_i.pixel_index(ix, iy).astype(np.uint16), roi_s, roi_i, n, n, 0, 2 * n))
             done += n
 
         assert hist.total == total_pairs

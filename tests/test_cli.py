@@ -12,10 +12,10 @@ import pytest
 from evblab import cli, coincidence
 from evblab.cli import main
 from evblab.coincidence import CoincidenceConfig, find_coincidences
-from evblab.eventsim import RunManifest, read_events
+from evblab.eventsim import NoiseModel, RunManifest, default_manifest, read_events
 from evblab.gridio import read_csv_matrix
 from evblab.polarimetry import standard_set
-from evblab.qplate_state import BELL_LABELS
+from evblab.qplate_state import BELL_LABELS, QPlateParams
 
 
 def run_cli(*args):
@@ -509,6 +509,11 @@ def bundle_with_maps(counts) -> str:
 # readers before the shape check took 3x3 maps and laid 9 bins along row 0
 SMALL_MAPS = bundle_with_maps([[100] * 3] * 3)
 
+# a complete manifest but for an efficiency of 2, which NoiseModel rejects
+NOISY_MANIFEST = json.dumps({
+    **json.loads(default_manifest(QPlateParams(0.5), QPlateParams(1.0)).to_json()),
+    "noise": {**NoiseModel().to_dict(), "efficiency": 2}})
+
 
 @pytest.mark.parametrize("command,name,text", [
     ("coincide", "manifest.json", "{}"),
@@ -524,15 +529,18 @@ SMALL_MAPS = bundle_with_maps([[100] * 3] * 3)
     ("coincide", "manifest.json", '{\n  "geometry": {\n    "height": 64,\n    "roi_idler": ['),
     ("tomo", "histograms.json", SMALL_MAPS[:200]),
     ("tomo", "histograms.json", bundle_with_maps([[100, 100], [100]])),
+    ("coincide", "manifest.json", "{}".encode("utf-16")),
+    ("coincide", "manifest.json", NOISY_MANIFEST),
 ], ids=["manifest-empty", "manifest-list", "histograms-empty", "histograms-setting-empty",
         "histograms-settings-list", "histograms-list", "histograms-map-shape",
         "tomography-empty", "bell-maps-empty", "bell-maps-list", "manifest-truncated",
-        "histograms-truncated", "histograms-ragged"])
+        "histograms-truncated", "histograms-ragged", "manifest-utf16", "manifest-efficiency-2"])
 def test_malformed_bundle_exits_with_one_error_line(tmp_path, capsys, command, name, text):
-    # JSON of the wrong shape is a data error naming the file, not a traceback
+    # JSON of the wrong shape, text not UTF-8, or a field its parser rejects is a
+    # data error naming the file, not a traceback
     src, out = tmp_path / "in", tmp_path / "out"
     src.mkdir()
-    (src / name).write_text(text)
+    (src / name).write_bytes(text.encode() if isinstance(text, str) else text)
     if command == "report" and name != "tomography.json":
         (src / "tomography.json").write_text(
             json.dumps({"average_concurrence": 0.5, "concurrence_se": 0.1}))

@@ -118,20 +118,20 @@ def run_matcher(ts, ti, window, multi):
     res = find_coincidences(ev, GEO, CoincidenceConfig(window=window, allow_multi_match=multi))
     # map back to per-stream indices via times (times may repeat; compare as
     # sorted multisets of time pairs)
-    return sorted(zip(res.signal["t"].tolist(), res.idler["t"].tolist()))
+    return sorted(zip(ev["t"][res.rows_s].tolist(), ev["t"][res.rows_i].tolist()))
 
 
 def matched_indices(ts, ti, window, multi):
-    """find_coincidences' pairs as (signal, idler) indices into ts and ti;
-    each event carries its index in its own stream in the tot field."""
+    """find_coincidences' pairs as (signal, idler) indices into ts and ti,
+    read through the sort that interleaves the two streams."""
     ev = np.zeros(len(ts) + len(ti), dtype=EVENT_DTYPE)
     ev["x"], ev["y"] = 29, 29
     ev["x"][len(ts):] = 97
     ev["t"] = np.concatenate([ts, ti])
-    ev["tot"] = np.concatenate([np.arange(len(ts)), np.arange(len(ti))])
-    ev = ev[np.argsort(ev["t"], kind="stable")]
-    res = find_coincidences(ev, GEO, CoincidenceConfig(window=window, allow_multi_match=multi))
-    return res.signal["tot"].tolist(), res.idler["tot"].tolist()
+    order = np.argsort(ev["t"], kind="stable")
+    res = find_coincidences(ev[order], GEO,
+                            CoincidenceConfig(window=window, allow_multi_match=multi))
+    return order[res.rows_s].tolist(), (order[res.rows_i] - len(ts)).tolist()
 
 
 def oracle_pairs_as_times(ts, ti, window, multi):
@@ -320,31 +320,41 @@ def polar_reference(x, y, centroid, binning):
     return r, tbin
 
 
-def pairs_at(xy_s, xy_i):
-    """MatchResult of photon pairs at the given signal and idler pixels."""
-    sig = np.zeros(len(xy_s), dtype=EVENT_DTYPE)
-    idl = np.zeros(len(xy_i), dtype=EVENT_DTYPE)
-    sig["x"], sig["y"] = np.asarray(xy_s).T
-    idl["x"], idl["y"] = np.asarray(xy_i).T
-    return MatchResult(sig, idl, len(sig), len(idl), 0, len(sig) + len(idl))
+def roi_pixels(roi, xy):
+    """The ROI pixel indices of pixels (x, y), narrowed as find_coincidences
+    narrows them."""
+    x, y = np.asarray(xy).T
+    assert roi.contains(x, y).all()
+    return roi.pixel_index(x, y).astype(np.min_scalar_type(roi.width * roi.height - 1))
 
 
-def assert_bins_match_formula(result, binning):
+def pairs_at(xy_s, xy_i, roi_s=GEO.roi_signal, roi_i=GEO.roi_idler):
+    """MatchResult of photon pairs at the given signal and idler pixels: pair
+    k matched records 2k and 2k + 1 of a stream of only these pairs."""
+    n = len(xy_s)
+    rows = np.arange(0, 2 * n, 2, dtype=np.uint32)
+    return MatchResult(rows, rows + 1, roi_pixels(roi_s, xy_s), roi_pixels(roi_i, xy_i),
+                       roi_s, roi_i, n, n, 0, 2 * n)
+
+
+def assert_bins_match_formula(xy_s, xy_i, binning, rois=(GEO.roi_signal, GEO.roi_idler)):
+    """bin_polar on pairs at pixels xy_s and xy_i of the ROIs, and each photon's
+    polar cell, equal the per-photon formula."""
+    result = pairs_at(xy_s, xy_i, *rois)
     got = bin_polar(result, binning, "HV")
-    r_s, tb_s = polar_reference(result.signal["x"], result.signal["y"],
-                                binning.centroid_s, binning)
-    r_i, tb_i = polar_reference(result.idler["x"], result.idler["y"],
-                                binning.centroid_i, binning)
+    reference = []
+    for xy, roi, pix, centroid in ((xy_s, result.roi_s, result.pix_s, binning.centroid_s),
+                                   (xy_i, result.roi_i, result.pix_i, binning.centroid_i)):
+        x, y = np.asarray(xy).reshape(-1, 2).T
+        r, tbin = polar_reference(x, y, centroid, binning)
+        cells = np.where(r <= binning.r_max, tbin, binning.n_theta)
+        assert np.array_equal(coincidence._polar_codes(pix, roi, centroid, binning), cells)
+        reference.append((r, tbin))
+    (r_s, tb_s), (r_i, tb_i) = reference
     keep = (r_s <= binning.r_max) & (r_i <= binning.r_max)
     assert np.array_equal(got.counts_theta.ravel(), np.bincount(
         tb_s[keep] * binning.n_theta + tb_i[keep], minlength=binning.n_theta**2))
     assert got.dropped_by_radius == int(len(keep) - keep.sum())
-    for photons, centroid in ((result.signal, binning.centroid_s),
-                              (result.idler, binning.centroid_i)):
-        r, tbin = polar_reference(photons["x"], photons["y"], centroid, binning)
-        cells = np.where(r <= binning.r_max, tbin, binning.n_theta)
-        got_cells = coincidence._polar_codes(photons["x"], photons["y"], centroid, binning)
-        assert np.array_equal(got_cells, cells)
 
 
 @pytest.mark.parametrize("seed", range(4))
@@ -358,7 +368,7 @@ def test_bin_polar_equals_formula_on_random_lattice_pairs(seed):
     for n_theta, r_max in ((16, 20.0), (40, 12.5), (7, 100.0)):
         binning = PolarBinning(n_theta=n_theta, r_max=r_max,
                                centroid_s=centroid_s, centroid_i=centroid_i)
-        assert_bins_match_formula(pairs_at(xy_s, xy_i), binning)
+        assert_bins_match_formula(xy_s, xy_i, binning)
 
 
 def test_bin_polar_equals_formula_on_bin_edges_and_r_max():
@@ -370,12 +380,12 @@ def test_bin_polar_equals_formula_on_bin_edges_and_r_max():
     for n_theta in (8, 16):
         binning = PolarBinning(n_theta=n_theta, r_max=5.0,
                                centroid_s=(30.0, 30.0), centroid_i=(98.0, 30.0))
-        assert_bins_match_formula(pairs_at(xy_s, xy_i), binning)
+        assert_bins_match_formula(xy_s, xy_i, binning)
 
 
 def test_bin_polar_far_apart_pairs_use_formula_per_photon(monkeypatch):
-    # two photons per ROI, 60000 px apart: the bounding box holds 3.6e9
-    # pixels, so the formula must run on the photons, not on a pixel table
+    # two photons per ROI, 60000 px apart: the ROI holds 3.6e9 pixels, so
+    # the formula must run on the photons, not on a pixel table
     sizes = []
     formula = coincidence._polar_formula
 
@@ -384,11 +394,66 @@ def test_bin_polar_far_apart_pairs_use_formula_per_photon(monkeypatch):
         return formula(dx, dy, binning)
 
     monkeypatch.setattr(coincidence, "_polar_formula", spy)
-    result = pairs_at([(0, 0), (60000, 60000)], [(1, 60000), (60000, 1)])
+    roi = Rect(0, 0, 60001, 60001)
     binning = PolarBinning(n_theta=16, r_max=1e5,
                            centroid_s=(30000.0, 30000.0), centroid_i=(30000.0, 30000.0))
-    assert_bins_match_formula(result, binning)
+    assert_bins_match_formula([(0, 0), (60000, 60000)], [(1, 60000), (60000, 1)], binning,
+                              (roi, roi))
     assert max(sizes) == 2
+
+
+def lattice_pairs(draw, n):
+    """A random ROI of either size class, as a pixel table either pays off
+    for n pairs or not, and n random pixels in it."""
+    small = draw(st.booleans())
+    width, height = (draw(st.integers(1, 30)) if small else draw(st.integers(260, 2000))
+                     for _ in range(2))
+    roi = Rect(draw(st.integers(0, 2**16 - width)), draw(st.integers(0, 2**16 - height)),
+               width, height)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    xy = np.column_stack([rng.integers(roi.x0, roi.x0 + width, n),
+                          rng.integers(roi.y0, roi.y0 + height, n)])
+    # integer centroids put pixels on bin edges and on r_max exactly
+    centroid = tuple(draw(st.one_of(
+        st.integers(-5, w + 5).map(float),
+        st.floats(-5, w + 5, allow_nan=False))) + o for w, o in ((width, roi.x0), (height, roi.y0)))
+    return roi, xy, centroid
+
+
+@given(data=st.data(), n=st.integers(0, 1200), n_theta=st.integers(1, 64),
+       r_max=st.one_of(st.integers(1, 40).map(float), st.floats(0.1, 3000)))
+@settings(max_examples=100)
+def test_bin_polar_equals_formula_on_random_rois(data, n, n_theta, r_max):
+    # the per-pixel table (ROI at most n pixels) and the per-photon formula
+    # (larger ROIs, above 65536 pixels and so uint32 indices among them)
+    roi_s, xy_s, centroid_s = lattice_pairs(data.draw, n)
+    roi_i, xy_i, centroid_i = lattice_pairs(data.draw, n)
+    binning = PolarBinning(n_theta=n_theta, r_max=r_max,
+                           centroid_s=centroid_s, centroid_i=centroid_i)
+    assert_bins_match_formula(xy_s, xy_i, binning, (roi_s, roi_i))
+
+
+def test_bin_polar_table_on_a_roi_above_uint16(monkeypatch):
+    # a 300x300 ROI (uint32 pixel indices) with more pairs than pixels takes
+    # the table: the formula runs once per ROI pixel, not per photon
+    sizes = []
+    formula = coincidence._polar_formula
+
+    def spy(dx, dy, binning):
+        sizes.append(len(dx))
+        return formula(dx, dy, binning)
+
+    monkeypatch.setattr(coincidence, "_polar_formula", spy)
+    rng = np.random.default_rng(29)
+    roi_s, roi_i = Rect(65000, 100, 300, 300), Rect(0, 40000, 300, 300)
+    n = 100_000
+    xy_s = np.column_stack([rng.integers(65000, 65300, n), rng.integers(100, 400, n)])
+    xy_i = np.column_stack([rng.integers(0, 300, n), rng.integers(40000, 40300, n)])
+    assert pairs_at(xy_s, xy_i, roi_s, roi_i).pix_s.dtype == np.uint32
+    binning = PolarBinning(n_theta=24, r_max=140.0,
+                           centroid_s=(65150.3, 249.5), centroid_i=(150.0, 40150.0))
+    assert_bins_match_formula(xy_s, xy_i, binning, (roi_s, roi_i))
+    assert sizes == [90_000, 90_000] * 2
 
 
 def test_bin_polar_example_bins():
@@ -450,6 +515,27 @@ def test_conservation_identity_on_pipeline_run():
     )
     assert hist.total_events == len(events)
     assert hist.counts_theta.sum() == hist.total_pairs
+    # each pair's indices name its records, and their pixels in the ROIs
+    g = man.geometry
+    for rows, pix, roi in ((res.rows_s, res.pix_s, g.roi_signal), (res.rows_i, res.pix_i, g.roi_idler)):
+        assert np.array_equal(pix, roi.pixel_index(events["x"][rows], events["y"][rows]))
+    t = events["t"].astype(np.int64)
+    assert np.all(np.abs(t[res.rows_s] - t[res.rows_i]) <= CoincidenceConfig().window)
+
+
+def test_match_result_holds_12_bytes_per_pair():
+    # uint32 rows (a stream under 2**32 records) and uint16 pixels (ROIs of
+    # at most 65536 pixels): the result holds no copy of the records
+    man = default_manifest(QPlateParams(0.5), QPlateParams(1.0), n_pairs=150_000, rng_seed=3,
+                           geometry=CameraGeometry(width=600, height=300,
+                                                   roi_signal=Rect(0, 0, 256, 256),
+                                                   roi_idler=Rect(300, 0, 256, 256)))
+    events, _ = generate_setting_events(evb_state(man.qplate_s, man.qplate_i),
+                                        setting_from_label("HH"), man, np.random.default_rng(5))
+    res = find_coincidences(events, man.geometry, CoincidenceConfig())
+    assert len(events) > 2**16 and res.n_pairs > 30_000
+    held = sum(v.nbytes for v in vars(res).values() if isinstance(v, np.ndarray))
+    assert held <= 12 * res.n_pairs
 
 
 def test_histogram_dict_round_trip():
@@ -545,7 +631,10 @@ def test_split_streams_match_like_records():
     split = split_rois(ev, GEO)
     for cfg in (CoincidenceConfig(window=10), CoincidenceConfig(window=10, allow_multi_match=True)):
         a, b = find_coincidences(ev, GEO, cfg), find_coincidences(split, GEO, cfg)
-        assert np.array_equal(a.signal, b.signal) and np.array_equal(a.idler, b.idler)
+        for name in ("rows_s", "rows_i", "pix_s", "pix_i"):
+            x, y = getattr(a, name), getattr(b, name)
+            assert np.array_equal(x, y) and x.dtype == y.dtype, name
+        assert (a.roi_s, a.roi_i) == (b.roi_s, b.roi_i) == (GEO.roi_signal, GEO.roi_idler)
         assert (a.n_signal_events, a.n_idler_events, a.skipped_outside_roi, a.total_events,
                 a.n_contended) == (b.n_signal_events, b.n_idler_events,
                                    b.skipped_outside_roi, b.total_events, b.n_contended)
@@ -626,6 +715,18 @@ def test_pixel_pair_histogram_rejects_outside_roi():
     hist = PixelPairHistogram(GEO)
     with pytest.raises(ValueError):
         hist.count((0, 0), (97, 29))
+
+
+def test_pixel_pair_histogram_rejects_results_of_other_rois():
+    # pixel indices are ROI-relative: under a signal ROI moved by one column,
+    # the same photon has another index, so such a result cannot be added
+    moved = CameraGeometry(roi_signal=Rect(11, 10, 40, 40))
+    res = find_coincidences(make_events([100], [101]), moved, CoincidenceConfig())
+    assert res.n_pairs == 1
+    hist = PixelPairHistogram(GEO)
+    with pytest.raises(ValueError, match="ROIs .* are not the histogram's"):
+        hist.accumulate(res)
+    assert hist.total == 0
 
 
 # ---------------------------------------------------------------------------

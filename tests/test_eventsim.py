@@ -121,6 +121,19 @@ def test_geometry_validation():
     assert geo.centroid_s == geo.roi_signal.center()
 
 
+def test_geometry_rejects_sides_beyond_uint16():
+    # records hold x and y as uint16: past 65536 px an idler photon at x 65530+
+    # would wrap onto the signal side, so such a sensor is refused
+    roi_s, roi_i = Rect(0, 0, 40, 40), Rect(65530, 0, 40, 40)
+    with pytest.raises(ValueError, match="sensor sides must be at most 65536 pixels, got 70000 x 64"):
+        CameraGeometry(width=70_000, height=64, roi_signal=roi_s, roi_idler=roi_i)
+    with pytest.raises(ValueError, match="got 128 x 65537"):
+        CameraGeometry(width=128, height=65_537)
+    edge = CameraGeometry(width=2**16, height=2**16, roi_signal=Rect(0, 0, 2**16, 100),
+                          roi_idler=Rect(0, 2**16 - 100, 100, 100))
+    assert edge.roi_signal.pixel_index(2**16 - 1, 99) == 2**16 * 100 - 1
+
+
 def test_noise_validation():
     for bad in (dict(efficiency=1.5), dict(dark_rate=-1),
                 dict(jitter_sigma=-0.1), dict(werner_p=2.0)):
