@@ -55,6 +55,8 @@ class PolarBinning:
     centroid_i: tuple[float, float] | None = None
 
     def __post_init__(self):
+        if not isinstance(self.n_theta, (int, np.integer)):
+            raise ValueError(f"n_theta must be an integer, got {self.n_theta!r}")
         if self.n_theta < 1:
             raise ValueError("need at least one bin per axis")
         if not (self.r_max > 0 and math.isfinite(self.r_max)):

@@ -1,9 +1,10 @@
 """Synthetic time-tagged camera event streams for each measurement setting.
 
-Event file format (little-endian, 16-byte header + packed 16-byte records):
+Event file format (little-endian, 16-byte header + packed 12-byte records of
+a detection's pixel and time; version 1 files, of 16-byte records, are refused):
 
-    header:  magic "EVB1" (4 bytes) | version u16 = 1 | reserved u16 | count u64
-    record:  x u16 | y u16 | t u64 (ns) | tot u16 | reserved u16
+    header:  magic "EVB1" (4 bytes) | version u16 = 2 | reserved u16 | count u64
+    record:  x u16 | y u16 | t u64 (ns)
 
 Each run simulates a fixed number of source pairs per setting at a common
 source flux.  A pair passes the setting's analyzer pair with its physical
@@ -16,7 +17,6 @@ redrawn until accepted at ratio (1 + X/P) / envelope.  This is exact because,
 once equal modes are merged, the interference terms X integrate to zero over
 the angles.  Times are drawn sorted per branch, positions i.i.d., so one
 stable argsort of the joined times orders the records with no extra draw.
-The tot field is written as 0, and no stage reads it.
 """
 
 from __future__ import annotations
@@ -28,6 +28,7 @@ from dataclasses import asdict, astuple, dataclass
 
 import numpy as np
 
+from .coincidence import TIME_LIMIT
 from .errors import ConfigurationError, FormatError, SamplingError
 from .lgmodes import radial_amplitudes
 from .qplate_state import ModeSuperposition, QPlateParams, evb_state, merge_modes, term_projections
@@ -39,13 +40,11 @@ from .polarimetry import (
 )
 
 MAGIC = b"EVB1"
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
 HEADER_DTYPE = np.dtype(
     [("magic", "S4"), ("version", "<u2"), ("reserved", "<u2"), ("count", "<u8")]
 )
-EVENT_DTYPE = np.dtype(
-    [("x", "<u2"), ("y", "<u2"), ("t", "<u8"), ("tot", "<u2"), ("reserved", "<u2")]
-)
+EVENT_DTYPE = np.dtype([("x", "<u2"), ("y", "<u2"), ("t", "<u8")])
 
 MAX_ATTEMPT_FACTOR = 10_000  # rejection budget per requested sample
 SENSOR_LIMIT = 2**16  # pixels a side that a uint16 x or y can address
@@ -62,6 +61,8 @@ class Rect:
     height: int
 
     def __post_init__(self):
+        if not all(isinstance(v, (int, np.integer)) for v in astuple(self)):
+            raise ValueError(f"rect fields must be integers, got {astuple(self)}")
         if self.width <= 0 or self.height <= 0:
             raise ValueError("rect must have positive size")
 
@@ -97,6 +98,8 @@ class CameraGeometry:
     waist_px: float = 10.0
 
     def __post_init__(self):
+        if not all(isinstance(v, (int, np.integer)) for v in (self.width, self.height)):
+            raise ValueError(f"sensor sides must be integers, got {self.width} x {self.height}")
         if max(self.width, self.height) > SENSOR_LIMIT:
             raise ValueError(f"sensor sides must be at most {SENSOR_LIMIT} pixels, "
                              f"got {self.width} x {self.height}")
@@ -179,9 +182,9 @@ class RunManifest:
         if not 0 < self.duration < math.inf:
             raise ValueError("duration must be positive and finite")
         # event times are uint64 ns on disk and int64 ns in matching, whose
-        # window arithmetic stays exact below 2**62 ns
+        # window arithmetic stays exact below TIME_LIMIT
         span = self.duration * 1e9 + 10 * self.noise.jitter_sigma
-        if not span < 2**62:
+        if not span < TIME_LIMIT:
             raise ValueError(f"run span {span:.3g} ns (duration {self.duration:g} s plus 10 "
                              f"jitter widths of {self.noise.jitter_sigma:g} ns) reaches 2**62 ns")
         if not self.pair_rate >= 0:
@@ -189,6 +192,8 @@ class RunManifest:
         if not self.rng_seed >= 0:
             raise ValueError(f"seed must be nonnegative, got {self.rng_seed}")
         names = list(self.settings.values())
+        if bad := {k: v for k, v in self.settings.items() if not isinstance(v, str)}:
+            raise ValueError(f"event filenames must be strings, got {bad}")
         if len(set(names)) != len(names):
             raise ValueError("event filenames must be distinct")
 
@@ -467,7 +472,7 @@ def generate_setting_events(state, setting: MeasurementSetting,
     # join and time-order plain columns; the structured records are built once
     cols = [np.concatenate(c) for c in zip(*cols)]
     order = np.argsort(cols[2], kind="stable")
-    events = np.zeros(len(order), dtype=EVENT_DTYPE)
+    events = np.empty(len(order), dtype=EVENT_DTYPE)
     for name, col in zip(("x", "y", "t"), cols):
         events[name] = col[order]
     stats = {

@@ -12,7 +12,7 @@ import pytest
 from evblab import cli, coincidence
 from evblab.cli import main
 from evblab.coincidence import CoincidenceConfig, find_coincidences
-from evblab.eventsim import NoiseModel, RunManifest, default_manifest, read_events
+from evblab.eventsim import RunManifest, default_manifest, read_events
 from evblab.gridio import read_csv_matrix
 from evblab.polarimetry import standard_set
 from evblab.qplate_state import BELL_LABELS, QPlateParams
@@ -495,11 +495,11 @@ def test_tomo_reads_a_bundle_with_radial_maps(small_run, tmp_path):
                 == (tmp_path / "new_t" / name).read_bytes()), name
 
 
-def bundle_with_maps(counts) -> str:
+def bundle_with_maps(counts, n_theta=16) -> str:
     """A complete bundle, with the radial keys of older bundles, but for its
-    maps: each setting's ``counts_theta`` is ``counts`` under n_theta 16."""
+    maps: each setting's ``counts_theta`` is ``counts`` under ``n_theta``."""
     return json.dumps({"settings": {label: {
-        "setting": label, "n_theta": 16, "n_r": 5, "counts_r": [[0] * 5] * 5,
+        "setting": label, "n_theta": n_theta, "n_r": 5, "counts_r": [[0] * 5] * 5,
         "r_max": 20.0, "centroid_s": [29.5, 29.5],
         "centroid_i": [97.5, 29.5], "counts_theta": counts, "total_pairs": 900,
         "total_singles": 0, "dropped_by_radius": 0, "skipped_outside_roi": 0, "total_events": 1800,
@@ -509,10 +509,16 @@ def bundle_with_maps(counts) -> str:
 # readers before the shape check took 3x3 maps and laid 9 bins along row 0
 SMALL_MAPS = bundle_with_maps([[100] * 3] * 3)
 
+BASE_MANIFEST = json.loads(default_manifest(QPlateParams(0.5), QPlateParams(1.0)).to_json())
+
+
+def manifest_with(section, **fields) -> str:
+    """A complete manifest but for ``fields`` changed in its ``section``."""
+    return json.dumps({**BASE_MANIFEST, section: {**BASE_MANIFEST[section], **fields}})
+
+
 # a complete manifest but for an efficiency of 2, which NoiseModel rejects
-NOISY_MANIFEST = json.dumps({
-    **json.loads(default_manifest(QPlateParams(0.5), QPlateParams(1.0)).to_json()),
-    "noise": {**NoiseModel().to_dict(), "efficiency": 2}})
+NOISY_MANIFEST = manifest_with("noise", efficiency=2)
 
 
 @pytest.mark.parametrize("command,name,text", [
@@ -531,10 +537,16 @@ NOISY_MANIFEST = json.dumps({
     ("tomo", "histograms.json", bundle_with_maps([[100, 100], [100]])),
     ("coincide", "manifest.json", "{}".encode("utf-16")),
     ("coincide", "manifest.json", NOISY_MANIFEST),
+    ("coincide", "manifest.json", manifest_with("geometry", roi_signal=[10.5, 10, 40, 40])),
+    ("coincide", "manifest.json", manifest_with("geometry", width=128.0)),
+    ("coincide", "manifest.json", manifest_with("settings", HH=5)),
+    ("tomo", "histograms.json", bundle_with_maps([[100] * 4] * 4, n_theta=4.0)),
 ], ids=["manifest-empty", "manifest-list", "histograms-empty", "histograms-setting-empty",
         "histograms-settings-list", "histograms-list", "histograms-map-shape",
         "tomography-empty", "bell-maps-empty", "bell-maps-list", "manifest-truncated",
-        "histograms-truncated", "histograms-ragged", "manifest-utf16", "manifest-efficiency-2"])
+        "histograms-truncated", "histograms-ragged", "manifest-utf16", "manifest-efficiency-2",
+        "manifest-float-roi", "manifest-float-width", "manifest-filename-int",
+        "histograms-float-ntheta"])
 def test_malformed_bundle_exits_with_one_error_line(tmp_path, capsys, command, name, text):
     # JSON of the wrong shape, text not UTF-8, or a field its parser rejects is a
     # data error naming the file, not a traceback

@@ -36,7 +36,7 @@ def make_events(signal_times=(), idler_times=(), other=()):
     rows.sort(key=lambda r: r[2])
     ev = np.zeros(len(rows), dtype=EVENT_DTYPE)
     for k, (x, y, t) in enumerate(rows):
-        ev[k] = (x, y, t, 100, 0)
+        ev[k] = (x, y, t)
     return ev
 
 
@@ -463,9 +463,9 @@ def test_bin_polar_example_bins():
                          roi_signal=Rect(0, 0, 2000, 2000),
                          roi_idler=Rect(2001, 0, 2000, 2000))
     # signal pixel at angle 0.1 about (1000, 1000), radius ~1000
-    ev[0] = (1000 + 995, 1000 + 100, 50, 10, 0)
+    ev[0] = (1000 + 995, 1000 + 100, 50)
     # idler pixel at angle ~3.2 about (3001, 1000)
-    ev[1] = (3001 - 998, 1000 - 58, 55, 10, 0)
+    ev[1] = (3001 - 998, 1000 - 58, 55)
     binning = PolarBinning(n_theta=16, r_max=1500.0,
                            centroid_s=(1000.0, 1000.0), centroid_i=(3001.0, 1000.0))
     res = find_coincidences(ev, geo, CoincidenceConfig())
