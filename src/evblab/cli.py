@@ -38,7 +38,7 @@ from .eventsim import (
     read_events,
     worker_count,
 )
-from .gridio import read_csv_matrix, write_csv_matrix, write_pgm
+from .gridio import write_csv_matrix, write_pgm
 from .polarimetry import set_from_labels, standard_set
 from .qplate_state import (
     BELL_LABELS,
@@ -218,14 +218,31 @@ def cmd_tomo(args) -> int:
     return 0
 
 
+def _bell_maps(bundle: dict) -> dict:
+    """The Bell maps of a ``tomography.json`` bundle, whose bins are the grid's in
+    row-major order: each used bin's overlaps, NaN in the low-statistics bins."""
+    n = bundle["n_theta"]
+    if type(n) is not int or n < 1:
+        raise ValueError(f"n_theta must be a positive integer, got {n!r}")
+    cells = [(b["bin_s"], b["bin_i"]) for b in bundle["bins"]]
+    if (len(cells) != n * n or cells != [divmod(k, n) for k in range(n * n)]
+            or any(type(k) is not int for cell in cells for k in cell)):
+        raise ValueError(f"the bins are not the {n}x{n} grid's in row-major order")
+    maps = {name: np.full((n, n), np.nan) for name in BELL_LABELS}
+    for (i, j), b in zip(cells, bundle["bins"]):
+        if not b["low_statistics"]:
+            for name in BELL_LABELS:
+                maps[name][i, j] = b["bell"][name]
+    return maps
+
+
 def cmd_report(args) -> int:
     if args.band is not None:
         lo, hi = args.band
         if not (math.isfinite(lo) and math.isfinite(hi) and lo <= hi):
             raise ValueError(f"--band needs finite LO <= HI, got {lo} {hi}")
-    tomo_dir = Path(getattr(args, "in"))
-    tomo = _load(tomo_dir / "tomography.json",
-                 lambda d: {k: float(d[k]) for k in ("average_concurrence", "concurrence_se")})
+    tomo, recon = _load(Path(getattr(args, "in")) / "tomography.json", lambda d: (
+        {k: float(d[k]) for k in ("average_concurrence", "concurrence_se")}, _bell_maps(d)))
     analytic = _load(Path(args.analytic) / "bell_maps.json", lambda d: {
         name: np.asarray(d["maps"][name], dtype=float) for name in BELL_LABELS})
 
@@ -233,7 +250,7 @@ def cmd_report(args) -> int:
     metrics = {}
     for name in BELL_LABELS:
         a = analytic[name]
-        r = read_csv_matrix(tomo_dir / f"bell_{name}.csv")
+        r = recon[name]
         if a.shape != r.shape:
             raise ConfigurationError(
                 f"grid size mismatch for {name}: analytic {a.shape} vs reconstructed {r.shape}"
@@ -289,10 +306,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--version", action="version", version=f"evblab {__version__}")
     sub = p.add_subparsers(dest="command", required=True)
 
-    def plate_flags(sp, required=True):
-        sp.add_argument("--qs", type=float, required=required,
+    def plate_flags(sp):
+        sp.add_argument("--qs", type=float, required=True,
                         help="signal plate charge (half-integer)")
-        sp.add_argument("--qi", type=float, required=required,
+        sp.add_argument("--qi", type=float, required=True,
                         help="idler plate charge (half-integer)")
         sp.add_argument("--delta-s", type=float, default=math.pi,
                         help="signal plate retardation in radians (default pi)")

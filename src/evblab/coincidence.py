@@ -107,6 +107,9 @@ class CoincidenceHistogram:
             counts = None
         if counts is None or counts.dtype.kind not in "iuf":
             raise FormatError(f"setting {d['setting']}: counts_theta is not a matrix of numbers")
+        if not np.all(np.isfinite(counts) & (counts >= 0)):
+            raise FormatError(f"setting {d['setting']}: counts_theta holds a count that is "
+                              "not finite and nonnegative")
         if counts.shape != (n, n):
             raise FormatError(f"setting {d['setting']}: counts_theta has shape "
                               f"{counts.shape}, not n_theta x n_theta = {(n, n)}")
@@ -162,9 +165,9 @@ class MatchResult:
 # ---------------------------------------------------------------------------
 # Matching
 
-# One setting's time-sorted records split by ROI: the int64 times, the record
-# rows and the ROI pixel indices of the signal-ROI and of the idler-ROI events.
-RoiStreams = namedtuple("RoiStreams", "events t_s t_i rows_s rows_i pix_s pix_i")
+# One setting's time-sorted records split by ROI: their number, then the int64
+# times, record rows and ROI pixel indices of the signal- and idler-ROI events.
+RoiStreams = namedtuple("RoiStreams", "n_events t_s t_i rows_s rows_i pix_s pix_i")
 
 # Times at or beyond this many ns are rejected: below it, a time plus a window
 # or an accidentals offset (each at most 2**62 ns) stays inside int64.
@@ -188,7 +191,7 @@ def split_rois(events: np.ndarray, geometry) -> RoiStreams:
         split.append((t[rows].view(np.int64), rows.astype(np.min_scalar_type(len(t))),
                       pix.astype(np.min_scalar_type(roi.width * roi.height - 1))))
     (t_s, rows_s, pix_s), (t_i, rows_i, pix_i) = split
-    return RoiStreams(events, t_s, t_i, rows_s, rows_i, pix_s, pix_i)
+    return RoiStreams(len(t), t_s, t_i, rows_s, rows_i, pix_s, pix_i)
 
 
 def _window_bounds(ts: np.ndarray, ti: np.ndarray, window: float):
@@ -318,8 +321,8 @@ def find_coincidences(events, geometry, config: CoincidenceConfig) -> MatchResul
         roi_s=geometry.roi_signal, roi_i=geometry.roi_idler,
         n_signal_events=len(s.rows_s),
         n_idler_events=len(s.rows_i),
-        skipped_outside_roi=len(s.events) - len(s.rows_s) - len(s.rows_i),
-        total_events=len(s.events),
+        skipped_outside_roi=s.n_events - len(s.rows_s) - len(s.rows_i),
+        total_events=s.n_events,
         n_contended=n_contended,
     )
 

@@ -335,18 +335,11 @@ def test_criterion_7_werner_band(tmp_path):
         tomo_dir = tmp_path / "tomo_out"
         rep_dir = tmp_path / "report"
         tomo_dir.mkdir()
-        from evblab.gridio import write_csv_matrix
-
-        (tomo_dir / "tomography.json").write_text(json.dumps({
-            "average_concurrence": avg, "concurrence_se": tomo.concurrence_se,
-        }))
-        maps = tomo.bell_maps()
+        (tomo_dir / "tomography.json").write_text(json.dumps(tomo.to_dict()))
         # report compares at the analysis resolution
         assert cli_main(["simulate", "--qs", "0.5", "--qi", "0.5",
                          "--ntheta", "40", "--average-bins",
                          "--out", str(sim_dir)]) == 0
-        for name, m in maps.items():
-            write_csv_matrix(tomo_dir / f"bell_{name}.csv", m)
         assert cli_main(["report", "--in", str(tomo_dir), "--analytic",
                          str(sim_dir), "--out", str(rep_dir),
                          "--band", "0.517", "0.575"]) == 0

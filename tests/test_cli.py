@@ -13,7 +13,6 @@ from evblab import cli, coincidence
 from evblab.cli import main
 from evblab.coincidence import CoincidenceConfig, find_coincidences
 from evblab.eventsim import RunManifest, default_manifest, read_events
-from evblab.gridio import read_csv_matrix
 from evblab.polarimetry import standard_set
 from evblab.qplate_state import BELL_LABELS, QPlateParams
 
@@ -43,7 +42,7 @@ def test_simulate_tuned_zero_maps(tmp_path):
     out = tmp_path / "sim"
     assert run_cli("simulate", "--qs", "0.5", "--qi", "0.5", "--ntheta", "8",
                    "--out", str(out)) == 0
-    phim = read_csv_matrix(out / "bell_phi_minus.csv")
+    phim = np.loadtxt(out / "bell_phi_minus.csv", delimiter=",")
     assert phim.shape == (8, 8)
     assert np.max(np.abs(phim)) < 1e-12
     bundle = json.loads((out / "bell_maps.json").read_text())
@@ -57,7 +56,7 @@ def test_simulate_opposite_charges_antidiagonal_pattern(tmp_path):
     out = tmp_path / "sim2"
     run_cli("simulate", "--qs", "-0.5", "--qi", "0.5", "--ntheta", "16",
             "--out", str(out))
-    psim = read_csv_matrix(out / "bell_psi_minus.csv")
+    psim = np.loadtxt(out / "bell_psi_minus.csv", delimiter=",")
     centers = (np.arange(16) + 0.5) * 2 * np.pi / 16
     TS, TI = np.meshgrid(centers, centers, indexing="ij")
     np.testing.assert_allclose(psim, np.cos(TS + TI) ** 2, atol=1e-9)
@@ -238,16 +237,15 @@ def test_report_identical_inputs_zero_rms(small_run, tmp_path):
     rep = tmp_path / "rep"
     assert main(["simulate", "--qs", "0.5", "--qi", "1", "--ntheta", "8",
                  "--out", str(sim)]) == 0
-    # build a fake tomography dir whose bell maps equal the analytic ones
+    # build a fake tomography bundle whose bins carry the analytic Bell overlaps
     fake = tmp_path / "fake_tomo"
     fake.mkdir()
-    bundle = json.loads((sim / "bell_maps.json").read_text())
-    from evblab.gridio import write_csv_matrix
-
-    for name, m in bundle["maps"].items():
-        write_csv_matrix(fake / f"bell_{name}.csv", np.asarray(m))
+    maps = json.loads((sim / "bell_maps.json").read_text())["maps"]
     (fake / "tomography.json").write_text(json.dumps({
-        "average_concurrence": 1.0, "concurrence_se": 0.0,
+        "average_concurrence": 1.0, "concurrence_se": 0.0, "n_theta": 8,
+        "bins": [{"bin_s": i, "bin_i": j, "low_statistics": False,
+                  "bell": {name: m[i][j] for name, m in maps.items()}}
+                 for i in range(8) for j in range(8)],
     }))
     assert main(["report", "--in", str(fake), "--analytic", str(sim),
                  "--out", str(rep)]) == 0
@@ -255,6 +253,33 @@ def test_report_identical_inputs_zero_rms(small_run, tmp_path):
     for err in report["bell_map_errors"].values():
         assert err["rms"] == pytest.approx(0.0, abs=1e-12)
         assert err["max"] == pytest.approx(0.0, abs=1e-12)
+
+
+def test_report_reads_only_the_bundles(small_run, tmp_path):
+    # the CSV and PGM maps that tomo writes are exports: report gives the same
+    # output without them, low-statistics bins included
+    coinc, tomo, sim = tmp_path / "c", tmp_path / "t", tmp_path / "s"
+    assert main(["coincide", "--in", str(small_run), "--out", str(coinc),
+                 "--ntheta", "8"]) == 0
+    hists = json.loads((coinc / "histograms.json").read_text())["settings"].values()
+    totals = sum(np.asarray(d["counts_theta"]) for d in hists)
+    assert main(["tomo", "--in", str(coinc), "--out", str(tomo),
+                 "--min-counts", str(int(np.median(totals)))]) == 0
+    assert 0 < json.loads((tomo / "tomography.json").read_text())["bins_used"] < 64
+    assert main(["simulate", "--qs", "0.5", "--qi", "0.5", "--ntheta", "8",
+                 "--average-bins", "--out", str(sim)]) == 0
+
+    def report(out):
+        assert main(["report", "--in", str(tomo), "--analytic", str(sim),
+                     "--out", str(out), "--band", "0.5", "1.0"]) == 0
+        return [(out / f).read_bytes() for f in ("report.json", "report.txt")]
+
+    before = report(tmp_path / "r1")
+    exports = [*tomo.glob("*.csv"), *tomo.glob("*.pgm")]
+    assert len(exports) == 12  # concurrence, purity and four Bell maps
+    for f in exports:
+        f.unlink()
+    assert report(tmp_path / "r2") == before
 
 
 def test_report_grid_mismatch_is_error(small_run, tmp_path):
@@ -279,7 +304,7 @@ def test_simulate_partial_tuning_populates_all_maps(tmp_path):
                    "--delta-s", str(np.pi / 2), "--delta-i", str(np.pi / 2),
                    "--ntheta", "8", "--out", str(out)) == 0
     for name in ("phi_plus", "phi_minus", "psi_plus", "psi_minus"):
-        m = read_csv_matrix(out / f"bell_{name}.csv")
+        m = np.loadtxt(out / f"bell_{name}.csv", delimiter=",")
         assert m.max() > 1e-3  # every Bell state contributes when half-tuned
 
 
@@ -521,6 +546,21 @@ def manifest_with(section, **fields) -> str:
 NOISY_MANIFEST = manifest_with("noise", efficiency=2)
 
 
+def tomography_with(n_theta=1, **fields) -> str:
+    """A tomography bundle of one used bin, (0, 0), but for ``n_theta`` and the
+    bin's ``fields``."""
+    return json.dumps({"average_concurrence": 0.5, "concurrence_se": 0.1, "n_theta": n_theta,
+                       "bins": [{"bin_s": 0, "bin_i": 0, "low_statistics": False,
+                                 "bell": dict.fromkeys(BELL_LABELS, 0.25), **fields}]})
+
+
+def maps_with(bad) -> str:
+    """A bundle of 16x16 maps of 100 counts but for ``bad`` in bin (3, 5)."""
+    counts = [[100] * 16 for _ in range(16)]
+    counts[3][5] = bad
+    return bundle_with_maps(counts)
+
+
 @pytest.mark.parametrize("command,name,text", [
     ("coincide", "manifest.json", "{}"),
     ("coincide", "manifest.json", "[1]"),
@@ -541,12 +581,26 @@ NOISY_MANIFEST = manifest_with("noise", efficiency=2)
     ("coincide", "manifest.json", manifest_with("geometry", width=128.0)),
     ("coincide", "manifest.json", manifest_with("settings", HH=5)),
     ("tomo", "histograms.json", bundle_with_maps([[100] * 4] * 4, n_theta=4.0)),
+    ("tomo", "histograms.json", maps_with(math.nan)),
+    ("tomo", "histograms.json", maps_with(math.inf)),
+    ("tomo", "histograms.json", maps_with(-1)),
+    ("report", "tomography.json", json.dumps({"average_concurrence": 0.5,
+                                              "concurrence_se": 0.1, "n_theta": 0, "bins": []})),
+    ("report", "tomography.json", tomography_with(n_theta=1.0)),
+    ("report", "tomography.json", tomography_with(bin_s=0.0)),
+    ("report", "tomography.json", tomography_with(bin_i=-1)),
+    ("report", "tomography.json", tomography_with(bin_s=1)),
+    ("report", "tomography.json", tomography_with(n_theta=2)),
+    ("report", "tomography.json", tomography_with(bell={"phi_plus": 1.0})),
 ], ids=["manifest-empty", "manifest-list", "histograms-empty", "histograms-setting-empty",
         "histograms-settings-list", "histograms-list", "histograms-map-shape",
         "tomography-empty", "bell-maps-empty", "bell-maps-list", "manifest-truncated",
         "histograms-truncated", "histograms-ragged", "manifest-utf16", "manifest-efficiency-2",
         "manifest-float-roi", "manifest-float-width", "manifest-filename-int",
-        "histograms-float-ntheta"])
+        "histograms-float-ntheta", "histograms-nan-count", "histograms-infinite-count",
+        "histograms-negative-count", "tomography-ntheta-0", "tomography-float-ntheta",
+        "tomography-float-bin", "tomography-negative-bin", "tomography-bin-beyond-grid",
+        "tomography-missing-bins", "tomography-bell-missing-label"])
 def test_malformed_bundle_exits_with_one_error_line(tmp_path, capsys, command, name, text):
     # JSON of the wrong shape, text not UTF-8, or a field its parser rejects is a
     # data error naming the file, not a traceback
@@ -554,30 +608,11 @@ def test_malformed_bundle_exits_with_one_error_line(tmp_path, capsys, command, n
     src.mkdir()
     (src / name).write_bytes(text.encode() if isinstance(text, str) else text)
     if command == "report" and name != "tomography.json":
-        (src / "tomography.json").write_text(
-            json.dumps({"average_concurrence": 0.5, "concurrence_se": 0.1}))
+        (src / "tomography.json").write_text(tomography_with())
     extra = ["--analytic", str(src)] if command == "report" else []
     assert main([command, "--in", str(src), *extra, "--out", str(out)]) == 1
     err = capsys.readouterr().err
     assert err.startswith(f"error: {src / name}: malformed input (") and err.count("\n") == 1
-    assert not out.exists()
-
-
-def test_report_names_a_ragged_map_file(tmp_path, capsys):
-    # a bell_*.csv with a short row is a data error naming that file
-    sim, tomo, out = tmp_path / "sim", tmp_path / "tomo", tmp_path / "out"
-    assert main(["simulate", "--qs", "0.5", "--qi", "1", "--ntheta", "4", "--out", str(sim)]) == 0
-    tomo.mkdir()
-    for name in BELL_LABELS:
-        (tomo / f"bell_{name}.csv").write_text((sim / f"bell_{name}.csv").read_text())
-    (tomo / "tomography.json").write_text(
-        json.dumps({"average_concurrence": 0.5, "concurrence_se": 0.1}))
-    bad = tomo / "bell_phi_plus.csv"
-    bad.write_text("1,0,0,1\n0,1\n")
-    capsys.readouterr()
-    assert main(["report", "--in", str(tomo), "--analytic", str(sim), "--out", str(out)]) == 1
-    err = capsys.readouterr().err
-    assert err == f"error: {bad}: malformed input (line 2 holds 2 values, the first row 4)\n"
     assert not out.exists()
 
 
