@@ -166,11 +166,9 @@ def cmd_coincide(args) -> int:
     def job(label: str):
         streams = split_rois(read_events(paths[label]), geometry)
         result = find_coincidences(streams, geometry, config)
-        hist, n_contended = bin_polar(result, binning, label), result.n_contended
-        del result  # the match indices go before the accidentals pass
         acc = (accidental_estimate(streams, geometry, config, offset=offset)
                if args.subtract_accidentals else 0)
-        return hist, acc, n_contended
+        return bin_polar(result, binning, label), acc, result.n_contended
 
     with ThreadPoolExecutor(max_workers=workers) as pool:
         done = list(pool.map(job, paths))
@@ -218,6 +216,15 @@ def cmd_tomo(args) -> int:
     return 0
 
 
+def _numbers(value, error: str, finite: bool = True) -> np.ndarray:
+    """``value``, a JSON number or lists of them, as floats; a string, a bool
+    and, unless ``finite`` is false, NaN or an infinity raise ValueError(``error``)."""
+    a = np.asarray(value)
+    if a.dtype.kind not in "iuf" or finite and not np.all(np.isfinite(a)):
+        raise ValueError(error)
+    return a.astype(float)
+
+
 def _bell_maps(bundle: dict) -> dict:
     """The Bell maps of a ``tomography.json`` bundle, whose bins are the grid's in
     row-major order: each used bin's overlaps, NaN in the low-statistics bins."""
@@ -230,9 +237,12 @@ def _bell_maps(bundle: dict) -> dict:
         raise ValueError(f"the bins are not the {n}x{n} grid's in row-major order")
     maps = {name: np.full((n, n), np.nan) for name in BELL_LABELS}
     for (i, j), b in zip(cells, bundle["bins"]):
+        if type(b["low_statistics"]) is not bool:
+            raise ValueError(f"bin ({i}, {j}): low_statistics must be a boolean")
         if not b["low_statistics"]:
             for name in BELL_LABELS:
-                maps[name][i, j] = b["bell"][name]
+                maps[name][i, j] = _numbers(b["bell"][name],
+                                            f"bin ({i}, {j}): {name} is not a finite number")
     return maps
 
 
@@ -242,9 +252,11 @@ def cmd_report(args) -> int:
         if not (math.isfinite(lo) and math.isfinite(hi) and lo <= hi):
             raise ValueError(f"--band needs finite LO <= HI, got {lo} {hi}")
     tomo, recon = _load(Path(getattr(args, "in")) / "tomography.json", lambda d: (
-        {k: float(d[k]) for k in ("average_concurrence", "concurrence_se")}, _bell_maps(d)))
+        {k: float(_numbers(d[k], f"{k} is not a number", finite=False))  # NaN over no bins
+         for k in ("average_concurrence", "concurrence_se")}, _bell_maps(d)))
     analytic = _load(Path(args.analytic) / "bell_maps.json", lambda d: {
-        name: np.asarray(d["maps"][name], dtype=float) for name in BELL_LABELS})
+        name: _numbers(d["maps"][name], f"map {name} is not a matrix of finite numbers")
+        for name in BELL_LABELS})
 
     lines = []
     metrics = {}

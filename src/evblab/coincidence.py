@@ -6,9 +6,9 @@ Event streams are numpy structured arrays in the on-disk record layout (see
 single-match policy pairs each signal greedily with its nearest-in-time
 unused idler (ties to the earlier idler), processing signals in time order;
 signals whose ranges overlap another's are matched in rounds, one signal of
-each such cluster per round.  A match is held as indices, not record copies:
-the rows of its two records in the stream and the ROI-local pixels they hit.
-Polar binning evaluates each ROI pixel's polar cell once and gathers by pixel.
+each such cluster per round.  A match is held as the two ROI-local pixels
+its photons hit, not as record copies; polar binning evaluates each ROI
+pixel's polar cell once and gathers by pixel.
 """
 
 from __future__ import annotations
@@ -128,56 +128,58 @@ class CoincidenceHistogram:
 
 @dataclass
 class MatchResult:
-    """Matched pairs as indices, plus bookkeeping.
+    """Matched pairs as ROI pixels, plus bookkeeping.
 
-    Pair k matched the records ``rows_s[k]`` and ``rows_i[k]`` of the input
-    stream, whose photons hit pixel ``pix_s[k]`` of ``roi_s`` and pixel
-    ``pix_i[k]`` of ``roi_i`` (ROI-local, see ``Rect.pixel_index``).  Each
-    index array has the smallest unsigned type that holds its largest
-    value: below 2**32 records and with ROIs of at most 65536 pixels, that
-    is uint32 rows and uint16 pixels, 12 bytes per pair.
+    Pair k's photons hit pixel ``pix_s[k]`` of ``roi_s`` and pixel
+    ``pix_i[k]`` of ``roi_i`` (ROI-local, see ``Rect.pixel_index``), each
+    in the smallest unsigned type that holds its ROI's largest index: with
+    ROIs of at most 65536 pixels, uint16, so 4 bytes per pair.
 
     n_contended counts the signals that greedy matching resolved in rounds,
     those whose window overlaps another signal's (0 for multi-matching).
     """
 
-    rows_s: np.ndarray
-    rows_i: np.ndarray
     pix_s: np.ndarray
     pix_i: np.ndarray
     roi_s: Rect
     roi_i: Rect
     n_signal_events: int
     n_idler_events: int
-    skipped_outside_roi: int
     total_events: int
     n_contended: int = 0
 
     @property
     def n_pairs(self) -> int:
-        return len(self.rows_s)
+        return len(self.pix_s)
 
     @property
     def n_singles(self) -> int:
         return self.n_signal_events + self.n_idler_events - 2 * self.n_pairs
+
+    @property
+    def skipped_outside_roi(self) -> int:
+        return self.total_events - self.n_signal_events - self.n_idler_events
 
 
 # ---------------------------------------------------------------------------
 # Matching
 
 # One setting's time-sorted records split by ROI: their number, then the int64
-# times, record rows and ROI pixel indices of the signal- and idler-ROI events.
-RoiStreams = namedtuple("RoiStreams", "n_events t_s t_i rows_s rows_i pix_s pix_i")
+# times and ROI pixel indices of the signal- and idler-ROI events.
+RoiStreams = namedtuple("RoiStreams", "n_events t_s t_i pix_s pix_i")
 
 # Times at or beyond this many ns are rejected: below it, a time plus a window
 # or an accidentals offset (each at most 2**62 ns) stays inside int64.
 TIME_LIMIT = 2**62
 
 
-def split_rois(events: np.ndarray, geometry) -> RoiStreams:
+def split_rois(events, geometry) -> RoiStreams:
     """Split a stream by ROI, rejecting one that is not sorted by time or that
     reaches 2**62 ns; the matching functions take the split in place of the
-    records.  Rows and pixel indices are narrowed as in :class:`MatchResult`."""
+    records, and a split passes through unchanged.  Pixel indices are
+    narrowed as in :class:`MatchResult`."""
+    if isinstance(events, RoiStreams):
+        return events
     t = events["t"]
     if np.any(t[1:] < t[:-1]):
         raise FormatError("event stream is not sorted by time")
@@ -186,12 +188,12 @@ def split_rois(events: np.ndarray, geometry) -> RoiStreams:
     x, y = events["x"].copy(), events["y"].copy()  # contiguous: 3x faster masks
     split = []
     for roi in (geometry.roi_signal, geometry.roi_idler):
-        rows = np.flatnonzero(roi.contains(x, y))
-        pix = roi.pixel_index(x[rows], y[rows])
-        split.append((t[rows].view(np.int64), rows.astype(np.min_scalar_type(len(t))),
+        inside = np.flatnonzero(roi.contains(x, y))
+        pix = roi.pixel_index(x[inside], y[inside])
+        split.append((t[inside].view(np.int64),
                       pix.astype(np.min_scalar_type(roi.width * roi.height - 1))))
-    (t_s, rows_s, pix_s), (t_i, rows_i, pix_i) = split
-    return RoiStreams(len(t), t_s, t_i, rows_s, rows_i, pix_s, pix_i)
+    (t_s, pix_s), (t_i, pix_i) = split
+    return RoiStreams(len(t), t_s, t_i, pix_s, pix_i)
 
 
 def _window_bounds(ts: np.ndarray, ti: np.ndarray, window: float):
@@ -312,18 +314,14 @@ def find_coincidences(events, geometry, config: CoincidenceConfig) -> MatchResul
     :func:`split_rois` under ``geometry``.  Events outside both ROIs are
     counted and skipped.
     """
-    s = events if isinstance(events, RoiStreams) else split_rois(events, geometry)
+    s = split_rois(events, geometry)
     match = _match_multi if config.allow_multi_match else _match_greedy
     sidx, iidx, n_contended = match(s.t_s, s.t_i, config.window)
     return MatchResult(
-        rows_s=s.rows_s[sidx], rows_i=s.rows_i[iidx],
         pix_s=s.pix_s[sidx], pix_i=s.pix_i[iidx],
         roi_s=geometry.roi_signal, roi_i=geometry.roi_idler,
-        n_signal_events=len(s.rows_s),
-        n_idler_events=len(s.rows_i),
-        skipped_outside_roi=s.n_events - len(s.rows_s) - len(s.rows_i),
-        total_events=s.n_events,
-        n_contended=n_contended,
+        n_signal_events=len(s.t_s), n_idler_events=len(s.t_i),
+        total_events=s.n_events, n_contended=n_contended,
     )
 
 
@@ -345,10 +343,8 @@ def accidental_estimate(events, geometry, config: CoincidenceConfig,
     :func:`split_rois`.
     """
     check_accidentals_offset(config, offset)
-    s = events if isinstance(events, RoiStreams) else split_rois(events, geometry)
-    match = _match_multi if config.allow_multi_match else _match_greedy
-    sidx, _, _ = match(s.t_s, s.t_i + int(round(offset)), config.window)
-    return len(sidx)
+    s = split_rois(events, geometry)
+    return find_coincidences(s._replace(t_i=s.t_i + int(round(offset))), geometry, config).n_pairs
 
 
 # ---------------------------------------------------------------------------

@@ -166,7 +166,10 @@ def _brute_force(ts, ti, window, multi):
 def test_criterion_3_coincidence_oracle():
     with criterion(3, "matcher equals brute force on 200 random streams"):
         t0 = time.time()
-        geo = CameraGeometry()
+        # 80x80 ROIs: record k of each side hits ROI pixel k, so a pair's
+        # pixels are its indices into ts and ti, for up to 6400 records a side
+        geo = CameraGeometry(width=176, height=96, roi_signal=Rect(4, 8, 80, 80),
+                             roi_idler=Rect(92, 8, 80, 80))
         rng = np.random.default_rng(3003)
         windows = [1, 10, 100]
         for k in range(200):
@@ -179,19 +182,19 @@ def test_criterion_3_coincidence_oracle():
             ts = np.sort(rng.integers(0, span, n_s))
             ti = np.sort(rng.integers(0, span, n_i))
             ev = np.zeros(n_s + n_i, dtype=EVENT_DTYPE)
-            ev["x"][:n_s] = 29
-            ev["y"][:n_s] = 29
-            ev["t"][:n_s] = ts
-            ev["x"][n_s:] = 97
-            ev["y"][n_s:] = 29
-            ev["t"][n_s:] = ti
+            for side, roi, times in ((slice(n_s), geo.roi_signal, ts),
+                                     (slice(n_s, None), geo.roi_idler, ti)):
+                pix = np.arange(len(times))
+                ev["x"][side] = roi.x0 + pix % roi.width
+                ev["y"][side] = roi.y0 + pix // roi.width
+                ev["t"][side] = times
             ev = ev[np.argsort(ev["t"], kind="stable")]
             window = windows[k % 3]
             for multi in (False, True):
                 res = find_coincidences(
                     ev, geo, CoincidenceConfig(window=window, allow_multi_match=multi)
                 )
-                got = sorted(zip(ev["t"][res.rows_s].tolist(), ev["t"][res.rows_i].tolist()))
+                got = sorted(zip(ts[res.pix_s].tolist(), ti[res.pix_i].tolist()))
                 want = sorted(
                     (int(ts[a]), int(ti[b]))
                     for a, b in _brute_force(ts, ti, window, multi)
@@ -375,10 +378,9 @@ def test_criterion_8_pixel_pair_capacity():
             sx[hot], sy[hot] = hot_s
             ix[hot], iy[hot] = hot_i
             hot_added += n // 10
-            rows = np.arange(0, 2 * n, 2, dtype=np.uint32)
             hist.accumulate(MatchResult(
-                rows, rows + 1, roi_s.pixel_index(sx, sy).astype(np.uint16),
-                roi_i.pixel_index(ix, iy).astype(np.uint16), roi_s, roi_i, n, n, 0, 2 * n))
+                roi_s.pixel_index(sx, sy).astype(np.uint16),
+                roi_i.pixel_index(ix, iy).astype(np.uint16), roi_s, roi_i, n, n, 2 * n))
             done += n
 
         assert hist.total == total_pairs

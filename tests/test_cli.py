@@ -333,7 +333,8 @@ def test_coincide_splits_each_setting_once(small_run, tmp_path, monkeypatch):
     calls = []
 
     def spy(events, geometry):
-        calls.append(len(events))
+        if not isinstance(events, coincidence.RoiStreams):  # a split passes through
+            calls.append(len(events))
         return real(events, geometry)
 
     monkeypatch.setattr(coincidence, "split_rois", spy)
@@ -546,12 +547,18 @@ def manifest_with(section, **fields) -> str:
 NOISY_MANIFEST = manifest_with("noise", efficiency=2)
 
 
-def tomography_with(n_theta=1, **fields) -> str:
-    """A tomography bundle of one used bin, (0, 0), but for ``n_theta`` and the
-    bin's ``fields``."""
-    return json.dumps({"average_concurrence": 0.5, "concurrence_se": 0.1, "n_theta": n_theta,
+def tomography_with(n_theta=1, averages=(0.5, 0.1), **fields) -> str:
+    """A tomography bundle of one used bin, (0, 0), but for ``n_theta``, the
+    average concurrence and its spread, and the bin's ``fields``."""
+    return json.dumps({"average_concurrence": averages[0], "concurrence_se": averages[1],
+                       "n_theta": n_theta,
                        "bins": [{"bin_s": 0, "bin_i": 0, "low_statistics": False,
                                  "bell": dict.fromkeys(BELL_LABELS, 0.25), **fields}]})
+
+
+def bell_maps_of(value) -> str:
+    """An analytic bundle whose four maps are 1x1 and hold ``value``."""
+    return json.dumps({"maps": {name: [[value]] for name in BELL_LABELS}})
 
 
 def maps_with(bad) -> str:
@@ -592,6 +599,17 @@ def maps_with(bad) -> str:
     ("report", "tomography.json", tomography_with(bin_s=1)),
     ("report", "tomography.json", tomography_with(n_theta=2)),
     ("report", "tomography.json", tomography_with(bell={"phi_plus": 1.0})),
+    ("report", "tomography.json", tomography_with(averages=("0.5", 0.1))),
+    ("report", "tomography.json", tomography_with(averages=(0.5, True))),
+    ("report", "tomography.json", tomography_with(averages=(10**400, 0.1))),
+    ("report", "tomography.json", tomography_with(bell=dict.fromkeys(BELL_LABELS, "0.25"))),
+    ("report", "tomography.json", tomography_with(bell=dict.fromkeys(BELL_LABELS, True))),
+    ("report", "tomography.json", tomography_with(bell=dict.fromkeys(BELL_LABELS, math.nan))),
+    ("report", "tomography.json", tomography_with(low_statistics="no")),
+    ("report", "tomography.json", tomography_with(low_statistics=0)),
+    ("report", "bell_maps.json", bell_maps_of("0.25")),
+    ("report", "bell_maps.json", bell_maps_of(True)),
+    ("report", "bell_maps.json", bell_maps_of(math.nan)),
 ], ids=["manifest-empty", "manifest-list", "histograms-empty", "histograms-setting-empty",
         "histograms-settings-list", "histograms-list", "histograms-map-shape",
         "tomography-empty", "bell-maps-empty", "bell-maps-list", "manifest-truncated",
@@ -600,7 +618,11 @@ def maps_with(bad) -> str:
         "histograms-float-ntheta", "histograms-nan-count", "histograms-infinite-count",
         "histograms-negative-count", "tomography-ntheta-0", "tomography-float-ntheta",
         "tomography-float-bin", "tomography-negative-bin", "tomography-bin-beyond-grid",
-        "tomography-missing-bins", "tomography-bell-missing-label"])
+        "tomography-missing-bins", "tomography-bell-missing-label",
+        "tomography-string-average", "tomography-bool-spread", "tomography-huge-average",
+        "tomography-string-bell", "tomography-bool-bell", "tomography-nan-bell",
+        "tomography-string-low-statistics", "tomography-int-low-statistics",
+        "bell-maps-strings", "bell-maps-bools", "bell-maps-nan"])
 def test_malformed_bundle_exits_with_one_error_line(tmp_path, capsys, command, name, text):
     # JSON of the wrong shape, text not UTF-8, or a field its parser rejects is a
     # data error naming the file, not a traceback
@@ -614,6 +636,20 @@ def test_malformed_bundle_exits_with_one_error_line(tmp_path, capsys, command, n
     err = capsys.readouterr().err
     assert err.startswith(f"error: {src / name}: malformed input (") and err.count("\n") == 1
     assert not out.exists()
+
+
+def test_report_takes_nan_averages_of_no_used_bins(tmp_path):
+    # a run whose bins are all low-statistics writes NaN averages: report
+    # takes them, and writes NaN errors for maps with no bin to compare
+    src, out = tmp_path / "in", tmp_path / "out"
+    src.mkdir()
+    (src / "tomography.json").write_text(
+        tomography_with(averages=(math.nan, math.nan), low_statistics=True, bell=None))
+    (src / "bell_maps.json").write_text(bell_maps_of(0.25))
+    assert main(["report", "--in", str(src), "--analytic", str(src), "--out", str(out)]) == 0
+    report = json.loads((out / "report.json").read_text())
+    assert math.isnan(report["average_concurrence"]) and math.isnan(report["concurrence_se"])
+    assert all(math.isnan(e["rms"]) for e in report["bell_map_errors"].values())
 
 
 def test_bundles_echo_their_parsed_flags(small_run, tmp_path):

@@ -113,25 +113,28 @@ def random_stream(rng, n_max=2000):
     return ts, ti
 
 
-def run_matcher(ts, ti, window, multi):
-    ev = make_events(ts, ti)
-    res = find_coincidences(ev, GEO, CoincidenceConfig(window=window, allow_multi_match=multi))
-    # map back to per-stream indices via times (times may repeat; compare as
-    # sorted multisets of time pairs)
-    return sorted(zip(ev["t"][res.rows_s].tolist(), ev["t"][res.rows_i].tolist()))
+def pixel_per_record(roi, times):
+    """Records at ``times``, record k at pixel k of ``roi`` (at most its size)."""
+    k = np.arange(len(times))
+    ev = np.zeros(len(times), dtype=EVENT_DTYPE)
+    ev["x"], ev["y"], ev["t"] = roi.x0 + k % roi.width, roi.y0 + k // roi.width, times
+    return ev
 
 
 def matched_indices(ts, ti, window, multi):
-    """find_coincidences' pairs as (signal, idler) indices into ts and ti,
-    read through the sort that interleaves the two streams."""
-    ev = np.zeros(len(ts) + len(ti), dtype=EVENT_DTYPE)
-    ev["x"], ev["y"] = 29, 29
-    ev["x"][len(ts):] = 97
-    ev["t"] = np.concatenate([ts, ti])
-    order = np.argsort(ev["t"], kind="stable")
-    res = find_coincidences(ev[order], GEO,
+    """find_coincidences' pairs as (signal, idler) indices into ts and ti:
+    record k of each side hits ROI pixel k, so a pair's pixels are its indices."""
+    ev = np.concatenate([pixel_per_record(GEO.roi_signal, ts),
+                         pixel_per_record(GEO.roi_idler, ti)])
+    res = find_coincidences(ev[np.argsort(ev["t"], kind="stable")], GEO,
                             CoincidenceConfig(window=window, allow_multi_match=multi))
-    return order[res.rows_s].tolist(), (order[res.rows_i] - len(ts)).tolist()
+    return res.pix_s.tolist(), res.pix_i.tolist()
+
+
+def run_matcher(ts, ti, window, multi):
+    """find_coincidences' pairs as sorted (signal time, idler time) pairs."""
+    s, i = matched_indices(ts, ti, window, multi)
+    return sorted(zip(np.asarray(ts)[s].tolist(), np.asarray(ti)[i].tolist()))
 
 
 def oracle_pairs_as_times(ts, ti, window, multi):
@@ -329,12 +332,11 @@ def roi_pixels(roi, xy):
 
 
 def pairs_at(xy_s, xy_i, roi_s=GEO.roi_signal, roi_i=GEO.roi_idler):
-    """MatchResult of photon pairs at the given signal and idler pixels: pair
-    k matched records 2k and 2k + 1 of a stream of only these pairs."""
+    """MatchResult of photon pairs at the given signal and idler pixels, from a
+    stream of only these pairs."""
     n = len(xy_s)
-    rows = np.arange(0, 2 * n, 2, dtype=np.uint32)
-    return MatchResult(rows, rows + 1, roi_pixels(roi_s, xy_s), roi_pixels(roi_i, xy_i),
-                       roi_s, roi_i, n, n, 0, 2 * n)
+    return MatchResult(roi_pixels(roi_s, xy_s), roi_pixels(roi_i, xy_i), roi_s, roi_i,
+                       n, n, 2 * n)
 
 
 def assert_bins_match_formula(xy_s, xy_i, binning, rois=(GEO.roi_signal, GEO.roi_idler)):
@@ -515,17 +517,11 @@ def test_conservation_identity_on_pipeline_run():
     )
     assert hist.total_events == len(events)
     assert hist.counts_theta.sum() == hist.total_pairs
-    # each pair's indices name its records, and their pixels in the ROIs
-    g = man.geometry
-    for rows, pix, roi in ((res.rows_s, res.pix_s, g.roi_signal), (res.rows_i, res.pix_i, g.roi_idler)):
-        assert np.array_equal(pix, roi.pixel_index(events["x"][rows], events["y"][rows]))
-    t = events["t"].astype(np.int64)
-    assert np.all(np.abs(t[res.rows_s] - t[res.rows_i]) <= CoincidenceConfig().window)
 
 
-def test_match_result_holds_12_bytes_per_pair():
-    # uint32 rows (a stream under 2**32 records) and uint16 pixels (ROIs of
-    # at most 65536 pixels): the result holds no copy of the records
+def test_match_result_holds_4_bytes_per_pair():
+    # a pair is its two uint16 ROI pixels (ROIs of at most 65536 pixels): the
+    # result holds no record rows and no copy of the records
     man = default_manifest(QPlateParams(0.5), QPlateParams(1.0), n_pairs=150_000, rng_seed=3,
                            geometry=CameraGeometry(width=600, height=300,
                                                    roi_signal=Rect(0, 0, 256, 256),
@@ -534,8 +530,9 @@ def test_match_result_holds_12_bytes_per_pair():
                                         setting_from_label("HH"), man, np.random.default_rng(5))
     res = find_coincidences(events, man.geometry, CoincidenceConfig())
     assert len(events) > 2**16 and res.n_pairs > 30_000
-    held = sum(v.nbytes for v in vars(res).values() if isinstance(v, np.ndarray))
-    assert held <= 12 * res.n_pairs
+    arrays = {k: v for k, v in vars(res).items() if isinstance(v, np.ndarray)}
+    assert sorted(arrays) == ["pix_i", "pix_s"]
+    assert sum(v.nbytes for v in arrays.values()) == 4 * res.n_pairs
 
 
 def test_histogram_dict_round_trip():
@@ -631,7 +628,7 @@ def test_split_streams_match_like_records():
     split = split_rois(ev, GEO)
     for cfg in (CoincidenceConfig(window=10), CoincidenceConfig(window=10, allow_multi_match=True)):
         a, b = find_coincidences(ev, GEO, cfg), find_coincidences(split, GEO, cfg)
-        for name in ("rows_s", "rows_i", "pix_s", "pix_i"):
+        for name in ("pix_s", "pix_i"):
             x, y = getattr(a, name), getattr(b, name)
             assert np.array_equal(x, y) and x.dtype == y.dtype, name
         assert (a.roi_s, a.roi_i) == (b.roi_s, b.roi_i) == (GEO.roi_signal, GEO.roi_idler)
