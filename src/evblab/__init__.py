@@ -16,6 +16,7 @@ from .qplate_state import (
     QPlateParams,
     bell_probabilities,
     bell_probability_map,
+    bin_states,
     evb_state,
     local_spinor,
 )

@@ -208,8 +208,8 @@ def cmd_tomo(args) -> int:
                                          "version": __version__})
     _write_maps(out, {name: tomo.metric_map(name) for name in ("concurrence", "purity")})
     _write_maps(out, tomo.bell_maps(), "bell_")
-    print(f"average concurrence {tomo.average_concurrence:.4f} "
-          f"+/- {tomo.concurrence_se:.4f} over {tomo.bins_used} bins")
+    print(f"average concurrence {tomo.average_concurrence:.4f} over {tomo.bins_used} bins "
+          f"(spread between bins {tomo.concurrence_se:.4f})")
     if tomo.mle:
         print(f"MLE did not converge in {tomo.mle_nonconverged} of {tomo.bins_used} bins")
     print(f"wrote tomography outputs to {out}")
@@ -280,7 +280,7 @@ def cmd_report(args) -> int:
 
     avg_c = tomo["average_concurrence"]
     se = tomo["concurrence_se"]
-    lines.append(f"average concurrence {avg_c:.4f} +/- {se:.4f}")
+    lines.append(f"average concurrence {avg_c:.4f} (spread between bins {se:.4f})")
     band_ok = None
     if args.band is not None:
         lo, hi = args.band

@@ -62,9 +62,6 @@ class PolarBinning:
         if not (self.r_max > 0 and math.isfinite(self.r_max)):
             raise ValueError(f"r_max must be positive and finite, got {self.r_max}")
 
-    def theta_edges(self) -> np.ndarray:
-        return np.linspace(0.0, 2.0 * math.pi, self.n_theta + 1)
-
 
 @dataclass
 class CoincidenceHistogram:

@@ -10,7 +10,9 @@ and the pseudo-inverse of the first, which is linear inversion.
 
 The analytic side turns a mode superposition plus a setting into pass
 probabilities and bin-integrated expected histograms, serving as ground
-truth for the Monte-Carlo event pipeline.
+truth for the Monte-Carlo event pipeline.  An expected histogram is the
+setting's projection of the :func:`qplate_state.bin_states` matrices within
+r_max.
 """
 
 from __future__ import annotations
@@ -20,14 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .coincidence import CoincidenceHistogram, PolarBinning
-from .lgmodes import azimuthal_bin_integrals, radial_bin_overlaps
-from .qplate_state import (
-    JONES,
-    ModeSuperposition,
-    bin_mass,
-    merge_modes,
-    term_projections,
-)
+from .qplate_state import JONES, ModeSuperposition, bin_states, merge_modes, term_projections
 
 SIGNAL_ANALYZERS = ("H", "V", "A", "R")
 IDLER_ANALYZERS = ("H", "V", "A", "L")
@@ -130,26 +125,14 @@ def expected_histogram(state: ModeSuperposition, setting: MeasurementSetting,
                        binning: PolarBinning, n_pairs: float) -> CoincidenceHistogram:
     """Bin-integrated expected coincidence counts for ``n_pairs`` source pairs.
 
-    Entries are the exact integrals of the coincidence density over the
-    angular bins within r_max, scaled by n_pairs; summing a complete projector
-    set over all space recovers n_pairs. Counts are floats (expectations, not
-    samples).
+    Entry (a, b) is n_pairs Re <ket|rho_ab|ket> for the :func:`bin_states`
+    matrix rho_ab within r_max: the exact integral of the coincidence density
+    over the bin.  Summing a complete projector set over all space recovers
+    n_pairs.  Counts are floats (expectations, not samples).
     """
-    coeffs = term_projections(state, setting.ket)
-    ell_s = np.array([t.ell_s for t in state.terms])
-    ell_i = np.array([t.ell_i for t in state.terms])
-
-    def radial(ells, waist):
-        # [0, r_max] in Gauss-Legendre pieces at most a waist wide; the modes
-        # vanish beyond 12 waists
-        top = min(binning.r_max, 12.0 * waist)
-        edges = np.linspace(0.0, top, int(np.ceil(top / waist)) + 1)
-        return radial_bin_overlaps(ells, waist, edges).sum(axis=2, keepdims=True)
-
-    Ts = azimuthal_bin_integrals(ell_s[:, None] - ell_s[None, :], binning.theta_edges())
-    Ti = azimuthal_bin_integrals(ell_i[:, None] - ell_i[None, :], binning.theta_edges())
-    counts_theta = n_pairs * bin_mass(coeffs, radial(ell_s, state.waist_s), Ts,
-                                      radial(ell_i, state.waist_i), Ti)[0, :, 0, :]
+    ket, n = setting.ket, binning.n_theta
+    rho = bin_states(state, n, binning.r_max).reshape(n, n, 16)
+    counts_theta = n_pairs * (rho @ np.outer(ket.conj(), ket).ravel()).real
     return CoincidenceHistogram(
         setting=setting.label,
         binning=binning,

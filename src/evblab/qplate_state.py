@@ -2,8 +2,10 @@
 
 Builds the polarization-singlet input state sent through one first-order
 space-variant birefringent plate ("q-plate") per arm, in closed form, and
-evaluates the resulting space-varying two-qubit state: local spinors,
-Bell-state probability densities, and angular Bell probability maps.
+evaluates the resulting space-varying two-qubit state: local spinors and
+Bell-state probability densities at points, and :func:`bin_states`, the
+density matrix of each angular bin.  The angular Bell maps, and the expected
+histograms of :mod:`polarimetry`, are projections of those matrices.
 
 Conventions (fixed globally):
   * Jones vectors in the (H, V) basis with L = (1, i)/sqrt(2) and
@@ -26,6 +28,7 @@ from .lgmodes import (
     MAX_AZIMUTHAL_INDEX,
     azimuthal_bin_integrals,
     radial_amplitudes,
+    radial_bin_overlaps,
     radial_overlap,
 )
 
@@ -227,7 +230,7 @@ def bell_probabilities(state, r_s, theta_s, r_i, theta_i) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# Projections, bin masses and angular Bell probability maps
+# Projections, bin states and angular Bell probability maps
 
 def term_projections(state: ModeSuperposition, kets) -> np.ndarray:
     """Amplitude of each term along one or more two-qubit kets.
@@ -250,29 +253,57 @@ def merge_modes(coeffs, keys):
     return keys, merged
 
 
-def bin_mass(coeffs, rad_s, ang_s, rad_i, ang_i) -> np.ndarray:
-    """Re sum_kl c_k c_l^* R^s_kl T^s_kl R^i_kl T^i_kl over polar bins.
+def _bin_centers(n_theta: int) -> np.ndarray:
+    return (np.arange(n_theta) + 0.5) * (2.0 * math.pi / n_theta)
 
-    ``coeffs`` has shape (..., n) over the n terms; each mode-integral factor
-    has shape (n, n, m) over its own m bins (m = 1 for a full-range
-    integral).  Returns shape (..., m_rs, m_ts, m_ri, m_ti).
+
+def bin_states(state: ModeSuperposition, n_theta: int, r_max: float | None = None,
+               average_over_bins: bool = True) -> np.ndarray:
+    """Unnormalized density matrix of each angular bin, in the HV basis.
+
+    Entry (a, b) integrates psi(x) psi(x)^dagger over theta_s in bin a,
+    theta_i in bin b and both radii within ``r_max`` (all space when None),
+    shape (n_theta, n_theta, 4, 4).  Term pair (k, l) contributes
+    v_k v_l^dagger R^s_kl R^i_kl T^s_kl T^i_kl: v_k the term's polarization
+    sector in the HV basis times its amplitude, R the radial overlaps and T
+    the azimuthal bin integrals.  Without ``average_over_bins`` T is
+    exp(i dl theta) at the bin centres, so entry (a, b) is the radially
+    integrated density there.
     """
-    c = np.asarray(coeffs)
-    pair = c[..., :, None] * c[..., None, :].conj()
-    return np.einsum("...kl,klp,kla,klq,klb->...paqb", pair, rad_s, ang_s, rad_i, ang_i).real
+    edges = np.linspace(0.0, 2.0 * math.pi, n_theta + 1)
+    factors = []
+    ell = np.array([(t.ell_s, t.ell_i) for t in state.terms]).T
+    for ells, waist in zip(ell, (state.waist_s, state.waist_i)):
+        if r_max is None:
+            radial = radial_overlap(ells[:, None], ells[None, :])
+        else:
+            # [0, r_max] in Gauss-Legendre pieces at most a waist wide; the
+            # modes vanish beyond 12 waists
+            top = min(r_max, 12.0 * waist)
+            pieces = np.linspace(0.0, top, int(np.ceil(top / waist)) + 1)
+            radial = radial_bin_overlaps(ells, waist, pieces).sum(axis=2)
+        dl = ells[:, None] - ells[None, :]
+        if average_over_bins:
+            angular = azimuthal_bin_integrals(dl, edges)
+        else:
+            angular = np.exp(1j * dl[..., None] * _bin_centers(n_theta))
+        factors.append(radial[..., None] * angular)
+    grid = (factors[0][..., :, None] * factors[1][..., None, :]).reshape(-1, n_theta ** 2)
+    v = CIRC_TO_LIN.T[[t.sector for t in state.terms]] * np.array([[t.amp] for t in state.terms])
+    pols = (v[:, None, :, None] * v.conj()[None, :, None, :]).reshape(-1, 16)
+    return (grid.T @ pols).reshape(n_theta, n_theta, 4, 4)
 
 
 def bell_probability_map(state: ModeSuperposition, n_theta: int,
                          average_over_bins: bool = False):
     """Radially integrated Bell probabilities on an n_theta x n_theta angular grid.
 
-    Entry (a, b) of each returned matrix is the radial integral of the Bell
-    probability density at angular bin centers (theta_a, theta_b), normalized
-    entrywise so the four matrices sum to one (a conditional Bell-probability
-    map, directly comparable to per-bin tomography output).
-
-    With ``average_over_bins`` the angular dependence is averaged exactly over
-    each square bin instead of sampled at the center.
+    Entry (a, b) of each returned matrix is the Bell diagonal of the
+    :func:`bin_states` matrix of bin (a, b), divided by its trace (a
+    conditional Bell-probability map, directly comparable to per-bin
+    tomography output).  By default the density is sampled at the bin-centre
+    angles (theta_a, theta_b); with ``average_over_bins`` it is integrated
+    exactly over each square bin.
 
     Returns
     -------
@@ -281,28 +312,15 @@ def bell_probability_map(state: ModeSuperposition, n_theta: int,
     """
     if n_theta < 4:
         raise ValueError("need at least 4 angular bins")
-    beta = term_projections(state, np.array([BELL_STATES[b] for b in BELL_LABELS]))
-    ell_s = np.array([t.ell_s for t in state.terms])
-    ell_i = np.array([t.ell_i for t in state.terms])
-    edges = np.linspace(0.0, 2.0 * math.pi, n_theta + 1)
-    centers = (np.arange(n_theta) + 0.5) * (2.0 * math.pi / n_theta)
-
-    def angular(ells):
-        dl = ells[:, None] - ells[None, :]
-        if average_over_bins:
-            # bin integrals, not averages: the width cancels in the normalization
-            return azimuthal_bin_integrals(dl, edges)
-        return np.exp(1j * dl[..., None] * centers)
-
-    def radial(ells):
-        return radial_overlap(ells[:, None], ells[None, :])[..., None]
-
-    mass = bin_mass(beta, radial(ell_s), angular(ell_s), radial(ell_i), angular(ell_i))
-    mass = mass[:, 0, :, 0, :]
-    total = mass.sum(axis=0)
+    bell = np.array([BELL_STATES[b] for b in BELL_LABELS])
+    rho = bin_states(state, n_theta, None, average_over_bins).reshape(n_theta, n_theta, 16)
+    # <B|rho|B> = sum_ij conj(B_i) rho_ij B_j
+    mass = (rho @ (bell.conj()[:, :, None] * bell[:, None, :]).reshape(4, 16).T).real
+    total = mass.sum(axis=-1)
     if np.any(total <= 0):
         raise ValueError("state has vanishing angular marginal; cannot normalize")
-    return {name: m / total for name, m in zip(BELL_LABELS, mass)}, centers
+    return ({name: mass[..., k] / total for k, name in enumerate(BELL_LABELS)},
+            _bin_centers(n_theta))
 
 
 def torus_coordinates(maps: dict, theta_centers: np.ndarray) -> np.ndarray:

@@ -218,6 +218,9 @@ def test_tomo_and_report_end_to_end(small_run, tmp_path):
     assert report["band_ok"] is True
     text = (rep / "report.txt").read_text()
     assert "band comparison" in text
+    # concurrence_se is how the state varies over the grid, not an error bar
+    assert f"(spread between bins {report['concurrence_se']:.4f})" in text
+    assert "+/-" not in text
 
 
 def test_tomo_mle_reports_nonconverged_bins(small_run, tmp_path, capsys):

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.integrate import dblquad
 
 from evblab.coincidence import PolarBinning
@@ -18,9 +19,11 @@ from evblab.qplate_state import (
     CIRC_TO_LIN,
     JONES,
     QPlateParams,
+    bin_states,
     evb_state,
     local_spinor,
 )
+from evblab.tomography import forward_probabilities
 
 W = 1.0
 
@@ -268,3 +271,38 @@ def test_pass_probability_matches_integrated_histogram():
         assert h.counts_theta.sum() == pytest.approx(
             pass_probability(state, s), abs=1e-6
         )
+
+
+# ---------------------------------------------------------------------------
+# One per-bin truth: histograms and pass probabilities are projections of
+# the bin states
+
+drawn_plates = st.builds(
+    lambda qs, qi, ds, di, ws, wi: (QPlateParams(qs, ds, ws), QPlateParams(qi, di, wi)),
+    st.sampled_from([-0.5, 0.5, -1.0, 1.0, 1.5]), st.sampled_from([-0.5, 0.5, -1.0, 1.0, 1.5]),
+    st.floats(0.0, math.pi), st.floats(0.0, math.pi), st.floats(0.5, 20.0),
+    st.floats(0.5, 20.0))
+
+
+@given(drawn_plates, st.integers(1, 24), st.floats(0.5, 200.0), st.floats(1.0, 1e7))
+@settings(max_examples=20, deadline=None)
+def test_expected_histograms_are_forward_probabilities_of_bin_states(plates, n_theta, r_max,
+                                                                     n_pairs):
+    state = evb_state(*plates)
+    tset = standard_set()
+    p = forward_probabilities(bin_states(state, n_theta, r_max), tset)
+    b = binning(n_theta=n_theta, r_max=r_max)
+    for k, s in enumerate(tset.settings):
+        np.testing.assert_allclose(expected_histogram(state, s, b, n_pairs).counts_theta,
+                                   n_pairs * p[..., k], rtol=0, atol=1e-15 * n_pairs)
+
+
+@given(drawn_plates)
+@settings(max_examples=20, deadline=None)
+def test_pass_probability_is_the_one_bin_state_projection(plates):
+    # pass_probability merges equal modes; the one all-space bin integrates them
+    state = evb_state(*plates)
+    rho = bin_states(state, 1)[0, 0]
+    for s in standard_set().settings:
+        assert pass_probability(state, s) == pytest.approx(
+            (s.ket.conj() @ rho @ s.ket).real, abs=1e-12)

@@ -14,6 +14,7 @@ from evblab.qplate_state import (
     QPlateParams,
     bell_probabilities,
     bell_probability_map,
+    bin_states,
     evb_state,
     local_spinor,
     torus_coordinates,
@@ -377,6 +378,61 @@ def test_map_half_tuned_matches_radial_quadrature_oracle():
     oracle /= oracle.sum(axis=0)
     for k, name in enumerate(BELL_LABELS):
         np.testing.assert_allclose(maps[name], oracle[k], atol=1e-9)
+
+
+# ---------------------------------------------------------------------------
+# Bin states
+
+def quadrature_bin_state(state, n_theta, r_max, average_over_bins, a, b):
+    """Gauss-Legendre quadrature of psi psi^dagger in the HV basis over bin
+    (a, b): 16 nodes per angle within the bin (or the one bin-centre angle) and
+    40 per radius up to r_max, or up to 10 waists where the modes have
+    vanished.  Built on local_spinor alone, not on any mode integral."""
+    width = 2 * math.pi / n_theta
+    x, w = np.polynomial.legendre.leggauss(16)
+    u, v = np.polynomial.legendre.leggauss(40)
+
+    def nodes(waist, k):
+        top = 10.0 * waist if r_max is None else min(r_max, 10.0 * waist)
+        r = top / 2 * (u + 1)
+        wr = top / 2 * v * r
+        if not average_over_bins:
+            return r, wr, np.array([(k + 0.5) * width]), np.ones(1)
+        return r, wr, (k + (x + 1) / 2) * width, w * width / 2
+
+    r_s, wr_s, t_s, wt_s = nodes(state.waist_s, a)
+    r_i, wr_i, t_i, wt_i = nodes(state.waist_i, b)
+    R_S, T_S, R_I, T_I = np.meshgrid(r_s, t_s, r_i, t_i, indexing="ij", sparse=True)
+    psi = (local_spinor(state, R_S, T_S, R_I, T_I) @ CIRC_TO_LIN.T).reshape(-1, 4)
+    weight = np.einsum("p,q,s,t->pqst", wr_s, wt_s, wr_i, wt_i).ravel()
+    return (psi.T * weight) @ psi.conj()
+
+
+@given(q_s=st.sampled_from([-0.5, 0.5, -1.0, 1.0, 1.5]),
+       q_i=st.sampled_from([-0.5, 0.5, -1.0, 1.0, 1.5]),
+       delta_s=st.floats(0.0, math.pi), delta_i=st.floats(0.0, math.pi),
+       w_s=st.floats(0.5, 20.0), w_i=st.floats(0.5, 20.0), n_theta=st.integers(4, 40),
+       r_factor=st.none() | st.floats(0.3, 8.0), average_over_bins=st.booleans(),
+       seed=st.integers(0, 2**32 - 1))
+@settings(max_examples=25, deadline=None)
+def test_bin_states_match_quadrature_of_local_spinor(q_s, q_i, delta_s, delta_i, w_s, w_i,
+                                                      n_theta, r_factor, average_over_bins,
+                                                      seed):
+    state = evb_state(QPlateParams(q_s, delta_s, w_s), QPlateParams(q_i, delta_i, w_i))
+    r_max = None if r_factor is None else r_factor * max(w_s, w_i)
+    rho = bin_states(state, n_theta, r_max, average_over_bins)
+    assert rho.shape == (n_theta, n_theta, 4, 4)
+    scale = np.max(np.trace(rho, axis1=2, axis2=3).real)
+    # each bin's matrix is Hermitian and positive semidefinite
+    np.testing.assert_allclose(rho, rho.conj().swapaxes(2, 3), rtol=0, atol=1e-15 * scale)
+    assert np.min(np.linalg.eigvalsh(rho)) >= -1e-13 * scale
+    if r_max is None and average_over_bins:
+        assert np.trace(rho, axis1=2, axis2=3).real.sum() == pytest.approx(1.0, abs=1e-12)
+    rng = np.random.default_rng(seed)
+    for a, b in rng.integers(0, n_theta, (3, 2)):
+        want = quadrature_bin_state(state, n_theta, r_max, average_over_bins, a, b)
+        np.testing.assert_allclose(rho[a, b], want, rtol=0,
+                                   atol=1e-9 * np.linalg.norm(want))
 
 
 def test_torus_coordinates_shape_and_radii():
