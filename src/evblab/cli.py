@@ -28,6 +28,7 @@ from .coincidence import (
     find_coincidences,
     pooled_centroids,
     split_rois,
+    worker_count,
 )
 from .errors import ConfigurationError, FormatError
 from .eventsim import (
@@ -36,7 +37,6 @@ from .eventsim import (
     default_manifest,
     generate_run,
     read_events,
-    worker_count,
 )
 from .gridio import write_csv_matrix, write_pgm
 from .polarimetry import set_from_labels, standard_set

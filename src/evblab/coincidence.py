@@ -9,11 +9,20 @@ signals whose ranges overlap another's are matched in rounds, one signal of
 each such cluster per round.  A match is held as the two ROI-local pixels
 its photons hit, not as record copies; polar binning evaluates each ROI
 pixel's polar cell once and gathers by pixel.
+
+A record array is matched in time slices, one per worker thread.  Slice k
+starts after the first gap wider than floor(window) ns between consecutive
+records at or after record k*n/workers.  Times are integers, so no signal
+and idler on opposite sides of such a gap lie within the window: no pair,
+candidate range or greedy cluster crosses a cut, and matching the slices
+apart and joining them in time order gives the whole stream's result at
+any thread count.  Where no such gap follows, there are fewer slices.
 """
 
 from __future__ import annotations
 
 import math
+import os
 from collections import namedtuple
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
@@ -170,6 +179,37 @@ RoiStreams = namedtuple("RoiStreams", "n_events t_s t_i pix_s pix_i")
 TIME_LIMIT = 2**62
 
 
+def worker_count() -> int:
+    """Worker threads for per-setting work (event synthesis, and matching and
+    binning in the CLI's ``coincide``) and for the time slices of a record
+    array's matching: the core count, capped by EVBLAB_THREADS."""
+    n = os.cpu_count() or 1
+    cap = os.environ.get("EVBLAB_THREADS", str(n))
+    try:
+        return min(n, max(1, int(cap)))
+    except ValueError:
+        raise ConfigurationError(f"EVBLAB_THREADS must be an integer, got {cap!r}") from None
+
+
+def _check_times(t) -> None:
+    if np.any(t[1:] < t[:-1]):
+        raise FormatError("event stream is not sorted by time")
+    if len(t) and t[-1] >= TIME_LIMIT:
+        raise FormatError(f"event time {t[-1]} ns reaches 2**62 ns")
+
+
+def _split(events, geometry) -> RoiStreams:
+    x, y = events["x"].copy(), events["y"].copy()  # contiguous: 3x faster masks
+    split = []
+    for roi in (geometry.roi_signal, geometry.roi_idler):
+        inside = np.flatnonzero(roi.contains(x, y))
+        pix = roi.pixel_index(x[inside], y[inside])
+        split.append((events["t"][inside].view(np.int64),
+                      pix.astype(np.min_scalar_type(roi.width * roi.height - 1))))
+    (t_s, pix_s), (t_i, pix_i) = split
+    return RoiStreams(len(events), t_s, t_i, pix_s, pix_i)
+
+
 def split_rois(events, geometry) -> RoiStreams:
     """Split a stream by ROI, rejecting one that is not sorted by time or that
     reaches 2**62 ns; the matching functions take the split in place of the
@@ -177,32 +217,45 @@ def split_rois(events, geometry) -> RoiStreams:
     narrowed as in :class:`MatchResult`."""
     if isinstance(events, RoiStreams):
         return events
-    t = events["t"]
-    if np.any(t[1:] < t[:-1]):
-        raise FormatError("event stream is not sorted by time")
-    if len(t) and t[-1] >= TIME_LIMIT:
-        raise FormatError(f"event time {t[-1]} ns reaches 2**62 ns")
-    x, y = events["x"].copy(), events["y"].copy()  # contiguous: 3x faster masks
-    split = []
-    for roi in (geometry.roi_signal, geometry.roi_idler):
-        inside = np.flatnonzero(roi.contains(x, y))
-        pix = roi.pixel_index(x[inside], y[inside])
-        split.append((t[inside].view(np.int64),
-                      pix.astype(np.min_scalar_type(roi.width * roi.height - 1))))
-    (t_s, pix_s), (t_i, pix_i) = split
-    return RoiStreams(len(t), t_s, t_i, pix_s, pix_i)
+    _check_times(events["t"])
+    return _split(events, geometry)
+
+
+def _window_bound(window: float) -> int:
+    """The integer bound floor(window) on |t_s - t_i|, capped so that t +-
+    bound stays inside int64 for times below 2**62 ns (146 years)."""
+    return math.floor(min(window, TIME_LIMIT))
+
+
+def _time_cuts(t, bound: int, parts: int) -> list[int]:
+    """Start and end indices of at most ``parts`` slices of the sorted times
+    ``t``: each inner cut follows the first gap wider than ``bound`` at or
+    after the next k * len(t) / parts, found in stretches of growing length."""
+    n = len(t)
+    cuts = [0]
+    for k in range(1, parts):
+        p, step = max(k * n // parts, cuts[-1]), 1024
+        while p < n - 1:
+            wide = np.flatnonzero(np.diff(t[p:p + step + 1]) > bound)
+            if len(wide):
+                cuts.append(p + int(wide[0]) + 1)
+                break
+            p, step = p + step, 4 * step
+        else:
+            break
+    return cuts + [n]
 
 
 def _window_bounds(ts: np.ndarray, ti: np.ndarray, window: float):
     """Per signal, the ``[lo, hi)`` range of idlers with |t_i - t_s| <= window.
 
-    Times are int64 ns, so the bound is floor(window) in integers: exact at
-    any time, and without a float copy of either stream.  The cap keeps
-    t +- bound inside int64 for times below 2**62 ns (146 years).  Windows
-    hold few idlers, so ``hi`` steps forward from ``lo`` at most 8 times;
-    the signals still stepping after that take a search.
+    Times are int64 ns, so the bound is floor(window) in integers
+    (:func:`_window_bound`): exact at any time, and without a float copy of
+    either stream.  Windows hold few idlers, so ``hi`` steps forward from
+    ``lo`` at most 8 times; the signals still stepping after that take a
+    search.
     """
-    bound = math.floor(min(window, TIME_LIMIT))
+    bound = _window_bound(window)
     lo = np.searchsorted(ti, ts - bound, side="left")
     top = ts + bound
     # The signals still stepping have all taken the same steps, so their hi
@@ -307,18 +360,34 @@ def _match_greedy(ts: np.ndarray, ti: np.ndarray, window: float):
 def find_coincidences(events, geometry, config: CoincidenceConfig) -> MatchResult:
     """Pair up signal-ROI and idler-ROI detections within the time window.
 
-    ``events`` is a time-sorted record array (rejected otherwise) or its
-    :func:`split_rois` under ``geometry``.  Events outside both ROIs are
-    counted and skipped.
+    ``events`` is a time-sorted record array (rejected otherwise), matched in
+    time slices on :func:`worker_count` threads, or its :func:`split_rois`
+    under ``geometry``, matched whole.  Events outside both ROIs are counted
+    and skipped.
     """
-    s = split_rois(events, geometry)
     match = _match_multi if config.allow_multi_match else _match_greedy
-    sidx, iidx, n_contended = match(s.t_s, s.t_i, config.window)
+
+    def run(s: RoiStreams):
+        sidx, iidx, n_contended = match(s.t_s, s.t_i, config.window)
+        return s.pix_s[sidx], s.pix_i[iidx], s.n_events, len(s.t_s), len(s.t_i), n_contended
+
+    if isinstance(events, RoiStreams):
+        parts = [run(events)]
+    else:
+        from concurrent.futures import ThreadPoolExecutor
+
+        _check_times(events["t"])  # once: the slices are split unchecked
+        cuts = _time_cuts(events["t"], _window_bound(config.window), worker_count())
+        slices = [events[a:b] for a, b in zip(cuts[:-1], cuts[1:])]
+        with ThreadPoolExecutor(max_workers=len(slices)) as pool:
+            parts = list(pool.map(lambda e: run(_split(e, geometry)), slices))
+    pix_s, pix_i, *counts = zip(*parts)
+    n_events, n_s, n_i, n_contended = map(sum, counts)
     return MatchResult(
-        pix_s=s.pix_s[sidx], pix_i=s.pix_i[iidx],
+        pix_s=np.concatenate(pix_s), pix_i=np.concatenate(pix_i),
         roi_s=geometry.roi_signal, roi_i=geometry.roi_idler,
-        n_signal_events=len(s.t_s), n_idler_events=len(s.t_i),
-        total_events=s.n_events, n_contended=n_contended,
+        n_signal_events=n_s, n_idler_events=n_i,
+        total_events=n_events, n_contended=n_contended,
     )
 
 

@@ -4,7 +4,7 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from evblab import coincidence
 from evblab.coincidence import (
@@ -627,16 +627,97 @@ def test_split_streams_match_like_records():
     ev = make_events(ts, ti, other=rng.integers(0, 10**7, 300))
     split = split_rois(ev, GEO)
     for cfg in (CoincidenceConfig(window=10), CoincidenceConfig(window=10, allow_multi_match=True)):
-        a, b = find_coincidences(ev, GEO, cfg), find_coincidences(split, GEO, cfg)
-        for name in ("pix_s", "pix_i"):
-            x, y = getattr(a, name), getattr(b, name)
-            assert np.array_equal(x, y) and x.dtype == y.dtype, name
-        assert (a.roi_s, a.roi_i) == (b.roi_s, b.roi_i) == (GEO.roi_signal, GEO.roi_idler)
-        assert (a.n_signal_events, a.n_idler_events, a.skipped_outside_roi, a.total_events,
-                a.n_contended) == (b.n_signal_events, b.n_idler_events,
-                                   b.skipped_outside_roi, b.total_events, b.n_contended)
+        b = find_coincidences(split, GEO, cfg)
+        assert_same_match(find_coincidences(ev, GEO, cfg), b)
         assert b.skipped_outside_roi == 300
         assert accidental_estimate(ev, GEO, cfg, 1e6) == accidental_estimate(split, GEO, cfg, 1e6)
+
+
+def assert_same_match(a: MatchResult, b: MatchResult):
+    for name in ("pix_s", "pix_i"):
+        x, y = getattr(a, name), getattr(b, name)
+        assert np.array_equal(x, y) and x.dtype == y.dtype, name
+    assert (a.roi_s, a.roi_i) == (b.roi_s, b.roi_i) == (GEO.roi_signal, GEO.roi_idler)
+    assert (a.n_signal_events, a.n_idler_events, a.skipped_outside_roi, a.total_events,
+            a.n_contended) == (b.n_signal_events, b.n_idler_events,
+                               b.skipped_outside_roi, b.total_events, b.n_contended)
+
+
+# ---------------------------------------------------------------------------
+# Time slices: a record array is matched in slices on EVBLAB_THREADS
+# workers, a split whole, and the two agree
+
+def records_at(times, kinds):
+    """Records at sorted ``times``: kind "s" and "i" on distinct pixels of the
+    signal and idler ROI, in time order, and "o" off both ROIs."""
+    kinds = np.array(list(kinds))
+    ev = np.zeros(len(times), dtype=EVENT_DTYPE)
+    ev["t"] = times
+    for kind, roi in (("s", GEO.roi_signal), ("i", GEO.roi_idler)):
+        k = np.flatnonzero(kinds == kind)
+        ev["x"][k] = roi.x0 + np.arange(len(k)) % roi.width
+        ev["y"][k] = roi.y0 + np.arange(len(k)) // roi.width
+    return ev
+
+
+def assert_slices_match_whole(ev, window, multi):
+    cfg = CoincidenceConfig(window=window, allow_multi_match=multi)
+    assert_same_match(find_coincidences(ev, GEO, cfg),
+                      find_coincidences(split_rois(ev, GEO), GEO, cfg))
+
+
+@st.composite
+def sliced_streams(draw):
+    # records a few ns apart, ties included, some gaps wider than the window
+    n = draw(st.integers(0, 150))
+    steps = draw(st.lists(st.one_of(st.just(0), st.integers(0, 4), st.integers(0, 25)),
+                          min_size=n, max_size=n))
+    kinds = draw(st.text("ssiio", min_size=n, max_size=n))
+    base = draw(st.sampled_from([0, 1000, 2**60]))
+    return records_at(base + np.cumsum(steps, dtype=np.int64), kinds)
+
+
+@given(ev=sliced_streams(), window=st.sampled_from([0.5, 1, 2.5, 4, 10.7]),
+       multi=st.booleans())
+@settings(max_examples=300, suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_time_slices_match_like_the_whole_stream(threads, ev, window, multi):
+    assert_slices_match_whole(ev, window, multi)
+
+
+def chain_records(times):
+    """Signals and idlers alternating at ``times``, so that greedy matching
+    resolves long clusters in rounds."""
+    return records_at(times, "si" * (len(times) // 2) + "s" * (len(times) % 2))
+
+
+@pytest.mark.parametrize("multi", [False, True])
+def test_a_gap_of_floor_window_is_not_cut(threads, multi):
+    # the one mid-stream gap of 2 ns joins signal 29 and idler 31 at window 2.5
+    times = np.concatenate([np.arange(30), np.arange(31, 51)])
+    ev = records_at(times, "o" * 29 + "si" + "o" * 19)
+    assert coincidence._time_cuts(times, 2, threads) == [0, 50]
+    assert find_coincidences(ev, GEO, CoincidenceConfig(window=2.5, allow_multi_match=multi)
+                             ).n_pairs == 1
+    assert_slices_match_whole(ev, 2.5, multi)
+
+
+@pytest.mark.parametrize("multi", [False, True])
+def test_a_gap_beyond_floor_window_is_cut(threads, multi):
+    times = np.concatenate([np.arange(30), np.arange(33, 53)])
+    ev = chain_records(times)
+    assert coincidence._time_cuts(times, 2, threads) == ([0, 50] if threads == 1 else [0, 30, 50])
+    assert_slices_match_whole(ev, 2.5, multi)
+    # without a gap there is one slice
+    times = np.arange(0, 100, 2)
+    assert coincidence._time_cuts(times, 2, threads) == [0, 50]
+    assert_slices_match_whole(chain_records(times), 2.5, multi)
+
+
+def test_disorder_at_the_cut_is_rejected(threads):
+    # sorted, the stream is cut after record 29; record 30 is earlier than it
+    times = np.concatenate([np.arange(30), [28], np.arange(34, 53)])
+    with pytest.raises(FormatError, match="not sorted"):
+        find_coincidences(chain_records(times), GEO, CoincidenceConfig(window=2.5))
 
 
 # ---------------------------------------------------------------------------

@@ -438,6 +438,32 @@ def test_sampler_rejects_empty_projection():
         projected_sampler(evb_state(*plates(0.5, 0.5, delta=0.0)), setting_from_label("HH"))
 
 
+def test_detect_photons_float32_directions_move_few_pixels():
+    # against the float64 formula: the same draws, the same records and
+    # times, and a pixel off by one in about 1 coordinate in 10^6
+    geo = CameraGeometry()
+    noise = NoiseModel(efficiency=0.9, jitter_sigma=1.0)
+    src = np.random.default_rng(5)
+    n = 10**6
+    r = np.sqrt(-np.log(1.0 - src.random(n)) * (geo.waist_px ** 2 / 2.0))
+    theta = src.random(n) * (2.0 * math.pi)
+    t_true = np.sort(src.uniform(0.0, 1e9, n))
+    rng = np.random.default_rng(7)
+    x, y, t = es._detect_photons(r, theta, geo.centroid_s, t_true, noise, geo, rng)
+
+    ref = np.random.default_rng(7)
+    keep = ref.random(n) < noise.efficiency
+    t_ref = t_true + ref.normal(0.0, noise.jitter_sigma, size=n)
+    x_ref = np.rint(geo.centroid_s[0] + r * np.cos(theta))
+    y_ref = np.rint(geo.centroid_s[1] + r * np.sin(theta))
+    keep &= (x_ref >= 0) & (x_ref < geo.width) & (y_ref >= 0) & (y_ref < geo.height)
+    assert rng.bit_generator.state == ref.bit_generator.state
+    np.testing.assert_array_equal(t, np.maximum(np.rint(t_ref[keep]), 0.0).astype(np.uint64))
+    moved = np.concatenate([x.astype(np.int64) - x_ref[keep], y.astype(np.int64) - y_ref[keep]])
+    assert np.count_nonzero(moved) <= 1e-5 * len(moved)
+    assert set(np.abs(moved[moved != 0]).tolist()) <= {1}
+
+
 # ---------------------------------------------------------------------------
 # Full runs
 
@@ -452,16 +478,18 @@ def test_generate_run_deterministic(tmp_path):
     ).read_text()
 
 
-def test_generate_run_thread_count_invariance(tmp_path, monkeypatch):
+def test_generate_run_thread_count_invariance(tmp_path, threads):
+    # at any worker count, each file holds its setting's serial synthesis
+    # from that setting's child of the manifest seed
     man = small_manifest(n_pairs=800, seed=11)
-    monkeypatch.setenv("EVBLAB_THREADS", "1")
-    generate_run(man, tmp_path / "serial")
-    monkeypatch.setenv("EVBLAB_THREADS", "4")
-    generate_run(man, tmp_path / "parallel")
-    for fname in man.settings.values():
-        assert (tmp_path / "serial" / fname).read_bytes() == (
-            tmp_path / "parallel" / fname
-        ).read_bytes()
+    generate_run(man, tmp_path)
+    state = evb_state(man.qplate_s, man.qplate_i)
+    children = np.random.SeedSequence(man.rng_seed).spawn(len(man.settings))
+    for child, (label, fname) in zip(children, man.settings.items()):
+        events, _ = generate_setting_events(state, setting_from_label(label), man,
+                                            np.random.default_rng(child))
+        write_events(tmp_path / "serial.evb", events)
+        assert (tmp_path / fname).read_bytes() == (tmp_path / "serial.evb").read_bytes()
 
 
 def test_generated_files_time_sorted(tmp_path):
