@@ -26,7 +26,8 @@ from .coincidence import (
     bin_polar,
     check_accidentals_offset,
     find_coincidences,
-    pooled_centroids,
+    roi_centroids,
+    roi_images,
     split_rois,
     worker_count,
 )
@@ -156,32 +157,38 @@ def cmd_coincide(args) -> int:
     workers = worker_count()
     manifest, paths = _load_run(Path(getattr(args, "in")))
     geometry = manifest.geometry
-    # A streaming pass for the pooled centroids holds one file at a time;
-    # then each worker holds one setting's events.
-    centroid_s, centroid_i = pooled_centroids(
-        (read_events(p) for p in paths.values()), geometry
-    )
-    binning = dataclasses.replace(binning, centroid_s=centroid_s, centroid_i=centroid_i)
 
+    # Each job reads and splits its setting's file once and keeps its matches
+    # (4 B per pair) and ROI images; the pooled centroids of the summed images
+    # then serve the binning of every setting.
     def job(label: str):
         streams = split_rois(read_events(paths[label]), geometry)
         result = find_coincidences(streams, geometry, config)
         acc = (accidental_estimate(streams, geometry, config, offset=offset)
                if args.subtract_accidentals else 0)
-        return bin_polar(result, binning, label), acc, result.n_contended
+        return result, acc, roi_images(streams, geometry)
 
+    rois = (geometry.roi_signal, geometry.roi_idler)
+    pooled = [np.zeros(r.width * r.height, np.int64) for r in rois]
     with ThreadPoolExecutor(max_workers=workers) as pool:
         done = list(pool.map(job, paths))
+        for *_, images in done:
+            for total, image in zip(pooled, images):
+                total += image
+        centroid_s, centroid_i = roi_centroids(pooled, geometry)
+        binning = dataclasses.replace(binning, centroid_s=centroid_s, centroid_i=centroid_i)
+        hists = list(pool.map(lambda d, label: bin_polar(d[0], binning, label), done, paths))
     bundle = {}
-    for hist, acc, n_contended in done:
+    for hist, (result, acc, _) in zip(hists, done):
         if args.subtract_accidentals:
-            # Accidentals are uniform over the angular grid (both singles
-            # marginals are ring-symmetric).
+            # The estimate is one greedy count with the idler times shifted,
+            # spread evenly over the bins; it counts shifted pairs beyond
+            # r_max too, so it overcorrects.
             per_bin = acc / (binning.n_theta**2)
             hist.counts_theta = np.maximum(hist.counts_theta - per_bin, 0.0)
         bundle[hist.setting] = hist.to_dict()
         print(f"{hist.setting}: {hist.total_pairs} pairs ({hist.total_singles} singles, "
-              f"{hist.dropped_by_radius} beyond r_max, {n_contended} contended)")
+              f"{hist.dropped_by_radius} beyond r_max, {result.n_contended} contended)")
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     _writejson(out / "histograms.json", {

@@ -55,7 +55,8 @@ class PolarBinning:
 
     Centroids may be left unset at construction but must be set before
     binning, to one pair shared by all settings of a run
-    (:func:`pooled_centroids`).  Equal binnings share grid and centroids.
+    (:func:`pooled_centroids`, or :func:`roi_centroids` of the run's summed
+    :func:`roi_images`).  Equal binnings share grid and centroids.
     """
 
     n_theta: int = 16
@@ -200,12 +201,17 @@ def _check_times(t) -> None:
 
 def _split(events, geometry) -> RoiStreams:
     x, y = events["x"].copy(), events["y"].copy()  # contiguous: 3x faster masks
+    t = events["t"].astype(np.int64)  # contiguous, and gathered by both ROIs
     split = []
     for roi in (geometry.roi_signal, geometry.roi_idler):
         inside = np.flatnonzero(roi.contains(x, y))
-        pix = roi.pixel_index(x[inside], y[inside])
-        split.append((events["t"][inside].view(np.int64),
-                      pix.astype(np.min_scalar_type(roi.width * roi.height - 1))))
+        out = np.min_scalar_type(roi.width * roi.height - 1)
+        # Inside the ROI, no step of the index exceeds its largest value, so
+        # a type that holds it, x, y and the width computes it exactly.
+        work = np.result_type(out, np.uint16, np.min_scalar_type(roi.width))
+        dx = x[inside].astype(work, copy=False) - work.type(roi.x0)
+        dy = y[inside].astype(work, copy=False) - work.type(roi.y0)
+        split.append((t[inside], (dy * work.type(roi.width) + dx).astype(out, copy=False)))
     (t_s, pix_s), (t_i, pix_i) = split
     return RoiStreams(len(events), t_s, t_i, pix_s, pix_i)
 
@@ -416,6 +422,35 @@ def accidental_estimate(events, geometry, config: CoincidenceConfig,
 # ---------------------------------------------------------------------------
 # Polar binning
 
+def roi_images(streams: RoiStreams, geometry):
+    """The signal and idler ROIs' count images of a split: one ``bincount``
+    each of its pixel indices, flat in ``Rect.pixel_index`` order."""
+    return tuple(np.bincount(pix, minlength=roi.width * roi.height)
+                 for pix, roi in ((streams.pix_s, geometry.roi_signal),
+                                  (streams.pix_i, geometry.roi_idler)))
+
+
+def roi_centroids(images, geometry):
+    """The signal and idler centroids of two ROI count images, each of the
+    ROI's shape or flat like :func:`roi_images`: the count-weighted mean
+    pixel (x, y), or ``roi.center()`` where the image holds no count.
+
+    Integer images give the same floats whichever way they were counted,
+    so the centroids of a run equal those of the sum of its settings'
+    images (see :func:`pooled_centroids`).
+    """
+    out = []
+    for image, roi in zip(images, (geometry.roi_signal, geometry.roi_idler)):
+        sub = np.reshape(image, (roi.height, roi.width))
+        n = sub.sum()
+        if n == 0:
+            out.append(roi.center())
+        else:
+            out.append((sub.sum(axis=0) @ np.arange(roi.x0, roi.x0 + roi.width) / n,
+                        sub.sum(axis=1) @ np.arange(roi.y0, roi.y0 + roi.height) / n))
+    return tuple(out)
+
+
 def pooled_centroids(event_arrays, geometry):
     """Shared ROI centroids from the detections of an entire run.
 
@@ -424,8 +459,11 @@ def pooled_centroids(event_arrays, geometry):
     per-setting centroid jitter would flip those edge pixels inconsistently
     between settings, corrupting the per-bin tomography counts.
 
-    One ``bincount`` per array gives the run's image; records off the camera
-    land in an extra row and column that no ROI covers.
+    One ``bincount`` per array gives the run's camera image; records off the
+    camera land in an extra row and column that no ROI covers.  The ROI
+    slices of that image hold the counts that :func:`roi_images` gives for
+    the arrays' splits, and :func:`roi_centroids` takes them, so the summed
+    images of a run's splits give the same centroids.
     """
     w, h = geometry.width, geometry.height
     image = np.zeros((h + 1) * (w + 1), dtype=np.int64)
@@ -434,16 +472,8 @@ def pooled_centroids(event_arrays, geometry):
         y = np.minimum(events["y"], h).astype(np.intp)
         image += np.bincount(y * (w + 1) + x, minlength=len(image))
     image = image.reshape(h + 1, w + 1)
-    out = []
-    for roi in (geometry.roi_signal, geometry.roi_idler):
-        sub = image[roi.y0:roi.y0 + roi.height, roi.x0:roi.x0 + roi.width]
-        n = sub.sum()
-        if n == 0:
-            out.append(roi.center())
-        else:
-            out.append((sub.sum(axis=0) @ np.arange(roi.x0, roi.x0 + roi.width) / n,
-                        sub.sum(axis=1) @ np.arange(roi.y0, roi.y0 + roi.height) / n))
-    return tuple(out)
+    return roi_centroids([image[r.y0:r.y0 + r.height, r.x0:r.x0 + r.width]
+                          for r in (geometry.roi_signal, geometry.roi_idler)], geometry)
 
 
 def _polar_formula(dx, dy, binning: PolarBinning):

@@ -347,6 +347,21 @@ def test_coincide_splits_each_setting_once(small_run, tmp_path, monkeypatch):
     assert len(calls) == 16
 
 
+def test_coincide_reads_each_event_file_once(small_run, tmp_path, monkeypatch):
+    # the pooled centroids come from the jobs' ROI images, not from a pass of their own
+    real = cli.read_events
+    paths = []
+
+    def spy(path):
+        paths.append(path)
+        return real(path)
+
+    monkeypatch.setattr(cli, "read_events", spy)
+    assert main(["coincide", "--in", str(small_run), "--out", str(tmp_path / "c"),
+                 "--subtract-accidentals"]) == 0
+    assert len(paths) == len(set(paths)) == 16
+
+
 def test_coincide_deterministic_across_thread_env(tmp_path, monkeypatch, capsys):
     # settings are matched on a worker pool; the bundle and the summary lines
     # keep manifest order and do not depend on the worker count

@@ -17,6 +17,8 @@ from evblab.coincidence import (
     bin_polar,
     find_coincidences,
     pooled_centroids,
+    roi_centroids,
+    roi_images,
     split_rois,
 )
 from evblab.errors import ConfigurationError, FormatError
@@ -619,6 +621,65 @@ def test_pooled_centroids_equal_masked_sums():
     cs, ci = pooled_centroids(signal_only, GEO)
     assert (cs, ci) == centroids_reference(signal_only, GEO)
     assert ci == GEO.roi_idler.center()
+
+
+# a small camera whose records fall on either ROI, between them or off the camera
+SMALL = CameraGeometry(width=12, height=7, roi_signal=Rect(1, 1, 4, 3),
+                       roi_idler=Rect(7, 2, 3, 5), waist_px=1.0)
+
+
+def coordinate(side):
+    return st.integers(0, side + 2) | st.just(65535)
+
+
+@given(arrays=st.lists(st.lists(st.tuples(coordinate(SMALL.width), coordinate(SMALL.height)),
+                                max_size=60), max_size=5),
+       empty=st.sampled_from([None, 0, 1]))
+@settings(max_examples=300)
+def test_pooled_centroids_equal_summed_split_images(arrays, empty):
+    # the camera image's ROI slices and the splits' pixel counts give one set of
+    # centroids, float for float; ``empty`` drops every record of that ROI
+    rois = (SMALL.roi_signal, SMALL.roi_idler)
+    runs = []
+    for points in arrays:
+        ev = np.zeros(len(points), dtype=EVENT_DTYPE)
+        if points:
+            ev["x"], ev["y"] = np.array(points).T
+        if empty is not None:
+            ev = ev[~rois[empty].contains(ev["x"], ev["y"])]
+        runs.append(ev)
+    images = [np.zeros(r.width * r.height, np.int64) for r in rois]
+    for ev in runs:
+        for total, image in zip(images, roi_images(split_rois(ev, SMALL), SMALL)):
+            total += image
+    centroids = pooled_centroids(iter(runs), SMALL)
+    assert centroids == roi_centroids(images, SMALL)
+    if empty is not None:
+        assert centroids[empty] == rois[empty].center()
+
+
+@pytest.mark.parametrize("width,height", [(16, 16), (257, 1), (256, 256), (257, 256),
+                                          (65536, 1), (1, 65536)])
+def test_split_pixel_indices_are_exact_in_the_narrow_type(width, height):
+    # ROI areas on both sides of 256 and 65536, widths up to the sensor limit
+    x0, y0 = min(300, 65536 - width), min(200, 65536 - height)
+    roi = Rect(x0, y0, width, height)
+    geo = CameraGeometry(width=x0 + width, height=y0 + height, roi_signal=roi,
+                         roi_idler=Rect(0, 0, 1, 1), waist_px=1.0)
+    rng = np.random.default_rng(width * height)
+    x = np.r_[x0, x0 + width - 1, x0, x0 + width - 1,
+              rng.integers(max(x0 - 2, 0), x0 + width, 2000), 0]
+    y = np.r_[y0, y0, y0 + height - 1, y0 + height - 1,
+              rng.integers(max(y0 - 2, 0), y0 + height, 2000), 0]
+    ev = np.zeros(len(x), dtype=EVENT_DTYPE)
+    ev["x"], ev["y"], ev["t"] = x, y, np.arange(len(x))
+    split = split_rois(ev, geo)
+    inside = roi.contains(x, y)
+    expect = roi.pixel_index(x[inside], y[inside]).astype(np.min_scalar_type(width * height - 1))
+    assert inside[:4].all()
+    assert split.pix_s.dtype == expect.dtype and np.array_equal(split.pix_s, expect)
+    assert split.t_s.dtype == np.int64 and np.array_equal(split.t_s, np.flatnonzero(inside))
+    assert split.pix_i.dtype == np.uint8 and np.array_equal(split.pix_i, [0])
 
 
 def test_split_streams_match_like_records():
